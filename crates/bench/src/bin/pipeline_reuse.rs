@@ -16,7 +16,14 @@
 //!   ([`diff`](ipr_pipeline::Engine::diff) →
 //!   [`convert`](ipr_pipeline::Engine::convert) →
 //!   [`plan`](ipr_pipeline::Engine::plan) → encode) separately, so
-//!   allocator traffic is attributed per stage.
+//!   allocator traffic is attributed per stage;
+//! * **mixed** — a fresh engine warmed on the largest pair, then
+//!   [`MIXED_ROUNDS`] rounds alternating small hops (a chain 1/32 the
+//!   size) with the large ones. Each round also recycles one foreign
+//!   script, as `Store::get` recycles decoded ones. The first
+//!   [`MIXED_FILL_ROUNDS`] fill (largest-first handout converges over
+//!   two passes); the rest are steady state, where the engine's per-call
+//!   cost must not depend on the larger calls before it.
 //!
 //! Allocations are counted by a `#[global_allocator]` wrapper around the
 //! system allocator. The contract: at steady state **every** stage —
@@ -37,7 +44,11 @@
 //!   within-run gate: it holds on any host and any chain size);
 //! * **allocator traffic** — steady-state allocations per update may not
 //!   exceed the baseline's by more than [`ALLOC_TOLERANCE`] (counts are
-//!   deterministic, so growth is a real buffering regression, not noise).
+//!   deterministic, so growth is a real buffering regression, not noise);
+//! * **mixed sizes** — any allocation in a steady mixed round fails the
+//!   run, and so does a pool spare count (byte or command vectors) above
+//!   the last fill round's: a session retains at most one call's spares
+//!   (both within-run and machine-independent).
 //!
 //! Absolute times are printed but never gated. The baseline file is left
 //! untouched in this mode.
@@ -52,6 +63,15 @@ use std::time::Instant;
 /// Gate: steady-state allocations per update may grow at most this much
 /// over the baseline.
 const ALLOC_TOLERANCE: f64 = 1.5;
+
+/// Mixed-size phase: rounds of alternating small and large hops.
+const MIXED_ROUNDS: usize = 5;
+
+/// Mixed-size phase: leading rounds that fill the pool (not gated).
+const MIXED_FILL_ROUNDS: usize = 2;
+
+/// Mixed-size phase: small hops are this fraction of the chain size.
+const MIXED_SMALL_DIVISOR: usize = 32;
 
 /// System-allocator wrapper that counts every allocation. `realloc` and
 /// `alloc_zeroed` count too: a growing arena is allocator traffic even
@@ -226,6 +246,8 @@ fn main() {
     }
     let [diff, convert, schedule, encode] = stages;
 
+    let mixed = mixed_phase(&chain, chain_bytes, hops);
+
     let per_update = |m: &Measure| m.allocs as f64 / hops as f64;
     let speedup = cold.total_ns as f64 / warm_steady.total_ns.max(1) as f64;
     println!(
@@ -270,6 +292,32 @@ fn main() {
         );
     }
 
+    println!(
+        "\nmixed sizes: warm on a {} KiB hop, then alternate {} B and {} KiB hops",
+        chain_bytes / 1024,
+        mixed.small_bytes,
+        chain_bytes / 1024
+    );
+    println!(
+        "{:<14} {:>12} {:>12} {:>14} {:>14}",
+        "round", "total ms", "allocs", "spare bytes", "spare cmds"
+    );
+    for (r, (m, (bytes, cmds))) in mixed.rounds.iter().zip(&mixed.spares).enumerate() {
+        let label = if r < MIXED_FILL_ROUNDS {
+            "fill"
+        } else {
+            "steady"
+        };
+        println!(
+            "{:<14} {:>12.2} {:>12} {:>14} {:>14}",
+            format!("{r} {label}"),
+            m.total_ns as f64 / 1e6,
+            m.allocs,
+            bytes,
+            cmds
+        );
+    }
+
     if let Some(path) = baseline_path {
         let breaches = gate(
             &path,
@@ -279,7 +327,7 @@ fn main() {
             &schedule,
             &encode,
             hops,
-        );
+        ) + gate_mixed(&mixed);
         if breaches > 0 {
             eprintln!("\n{breaches} regression(s) past the gates");
             std::process::exit(1);
@@ -303,6 +351,7 @@ fn main() {
     ] {
         json.push_str(&format!("  \"{key}\": {},\n", m.json()));
     }
+    json.push_str(&format!("  \"mixed\": {},\n", mixed.json()));
     json.push_str("  \"stages_steady\": {\n");
     let stage_rows = [
         ("diff", &diff),
@@ -389,4 +438,103 @@ fn warm_pass(engine: &mut Engine, chain: &VersionChain) -> Measure {
         total.add(m);
     }
     total
+}
+
+/// The mixed-size phase's measurements.
+struct Mixed {
+    small_bytes: usize,
+    /// Per round: time and allocator traffic of its updates.
+    rounds: Vec<Measure>,
+    /// Per round: the engine pool's (byte, command) spare counts after it.
+    spares: Vec<(usize, usize)>,
+}
+
+impl Mixed {
+    fn json(&self) -> String {
+        let rounds: Vec<String> = self
+            .rounds
+            .iter()
+            .zip(&self.spares)
+            .map(|(m, (bytes, cmds))| {
+                format!(
+                    "{{\"total_ns\": {}, \"allocs\": {}, \"alloc_bytes\": {}, \
+                     \"spare_bytes\": {bytes}, \"spare_commands\": {cmds}}}",
+                    m.total_ns, m.allocs, m.alloc_bytes
+                )
+            })
+            .collect();
+        format!(
+            "{{\"small_bytes\": {}, \"rounds\": [{}]}}",
+            self.small_bytes,
+            rounds.join(", ")
+        )
+    }
+}
+
+/// Warms a fresh engine on the largest hop, then runs [`MIXED_ROUNDS`]
+/// rounds that alternate a small hop with a large one. Each round ends by
+/// recycling a clone of a large script — storage the pool never handed
+/// out, like the decoded scripts a store read recycles — outside the
+/// measured regions.
+fn mixed_phase(chain: &VersionChain, chain_bytes: usize, hops: usize) -> Mixed {
+    let small_bytes = (chain_bytes / MIXED_SMALL_DIVISOR).max(1024);
+    let small = VersionChain::generate(
+        7,
+        ContentKind::BinaryLike,
+        small_bytes,
+        hops + 1,
+        ChainPattern::Patches,
+    );
+    let mut engine = Engine::with_config(bench_config());
+    let largest = chain
+        .hops()
+        .max_by_key(|(r, v)| r.len() + v.len())
+        .expect("chain has a hop");
+    let delta = engine
+        .update(largest.0, largest.1)
+        .expect("update succeeds");
+    let foreign = delta.script.clone();
+    engine.recycle(delta);
+    let mut mixed = Mixed {
+        small_bytes,
+        rounds: Vec::new(),
+        spares: Vec::new(),
+    };
+    for _ in 0..MIXED_ROUNDS {
+        let mut round = Measure::default();
+        for (small_hop, large_hop) in small.hops().zip(chain.hops()) {
+            for (reference, version) in [small_hop, large_hop] {
+                let (delta, m) =
+                    measured(|| engine.update(reference, version).expect("update succeeds"));
+                engine.recycle(delta);
+                round.add(m);
+            }
+        }
+        engine.recycle_script(foreign.clone());
+        mixed.rounds.push(round);
+        let pool = engine.pool();
+        mixed
+            .spares
+            .push((pool.spare_bytes(), pool.spare_commands()));
+    }
+    mixed
+}
+
+/// Within-run gates of the mixed phase; returns the breach count.
+fn gate_mixed(mixed: &Mixed) -> usize {
+    let mut breaches = 0;
+    let fill = mixed.spares[MIXED_FILL_ROUNDS - 1];
+    let rounds = mixed.rounds.iter().zip(&mixed.spares).enumerate();
+    for (r, (m, &spares)) in rounds.skip(MIXED_FILL_ROUNDS) {
+        let allocs_ok = m.allocs == 0;
+        let spares_ok = spares.0 <= fill.0 && spares.1 <= fill.1;
+        breaches += usize::from(!allocs_ok) + usize::from(!spares_ok);
+        println!(
+            "mixed round {r}: {} allocation(s) {}, spares {spares:?} vs fill {fill:?} {}",
+            m.allocs,
+            if allocs_ok { "ok" } else { "REGRESSED" },
+            if spares_ok { "ok" } else { "REGRESSED" }
+        );
+    }
+    breaches
 }

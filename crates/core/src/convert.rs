@@ -620,6 +620,16 @@ mod tests {
         assert!(pool.spare_commands() > 0, "recycled storage is retained");
 
         // The mismatch error still recycles the input script's storage.
+        // Hold one converted script so the pool sits below its bound (it
+        // retains at most one call's spares) and the return is visible.
+        let _held = convert_in_place_pooled(
+            scripts[0].clone(),
+            &reference,
+            &ConversionConfig::default(),
+            &mut scratch,
+            &mut pool,
+        )
+        .unwrap();
         let before = pool.spare_commands();
         let err = convert_in_place_pooled(
             scripts[0].clone(),

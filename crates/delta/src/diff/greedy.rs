@@ -179,6 +179,10 @@ impl IndexedDiffer for GreedyDiffer {
                 });
             }
         }
+        ipr_trace::with(|r| {
+            let slots = active.iter().map(|s| s.heads.active_slots() as u64).sum();
+            r.gauge("diff.index_slots", slots);
+        });
         GreedyIndex {
             shards: &scratch.shards[..shards],
         }

@@ -86,9 +86,13 @@ pub struct ScriptBuilder {
     pending: Vec<u8>,
     cursor: u64,
     /// Cleared byte vectors to draw add payloads from before touching the
-    /// allocator (filled when the builder is created from a
-    /// [`ScriptPool`](crate::ScriptPool)).
+    /// allocator, ascending by capacity (filled when the builder is
+    /// created from a [`ScriptPool`](crate::ScriptPool)).
     spare: Vec<Vec<u8>>,
+    /// Payload vectors handed to add commands so far (fresh ones
+    /// included), reported to the pool on
+    /// [`ScriptBuilder::finish_into_pool`].
+    drawn: usize,
 }
 
 impl ScriptBuilder {
@@ -105,19 +109,20 @@ impl ScriptBuilder {
     /// storage back.
     pub(crate) fn from_pool(pool: &mut crate::ScriptPool) -> Self {
         let commands = pool.take_commands();
+        // The pool keeps its stash ascending by capacity and
+        // `flush_pending` pops, so add payloads are drawn largest-first.
+        // Arbitrary handout order never converges — some small vector
+        // keeps landing on a big add and regrowing — while rank-ordered
+        // handout reaches the workload's high-water mark once and then
+        // allocates nothing.
         let mut spare = pool.take_bytes_stash();
-        // Ascending by capacity: `flush_pending` pops, so add payloads are
-        // drawn largest-first. Arbitrary handout order never converges —
-        // some small vector keeps landing on a big add and regrowing —
-        // while rank-ordered handout reaches the workload's high-water
-        // mark once and then allocates nothing.
-        spare.sort_unstable_by_key(Vec::capacity);
         let pending = spare.pop().unwrap_or_default();
         Self {
             commands,
             pending,
             cursor: 0,
             spare,
+            drawn: 0,
         }
     }
 
@@ -185,6 +190,7 @@ impl ScriptBuilder {
     fn flush_pending(&mut self) {
         if !self.pending.is_empty() {
             let next = self.spare.pop().unwrap_or_default();
+            self.drawn += 1;
             let data = std::mem::replace(&mut self.pending, next);
             let len = data.len() as u64;
             self.commands.push(Command::add(self.cursor, data));
@@ -217,10 +223,11 @@ impl ScriptBuilder {
         pool: &mut crate::ScriptPool,
     ) -> DeltaScript {
         self.flush_pending();
+        // The unused pending vector was popped last, so it is at least as
+        // large as every remaining spare: pushing it keeps the order.
         let mut stash = self.spare;
-        self.pending.clear();
         stash.push(self.pending);
-        pool.restore_bytes_stash(stash);
+        pool.restore_bytes_stash(stash, self.drawn);
         let target_len = self.cursor;
         DeltaScript::new(source_len, target_len, self.commands)
             .expect("builder emits tiling write-ordered commands")

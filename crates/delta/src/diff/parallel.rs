@@ -144,6 +144,7 @@ pub(crate) fn build_footprint_index<'s>(
     if with_lasts {
         scratch.lasts.resize(size, EMPTY);
     }
+    ipr_trace::gauge("diff.index_slots", size as u64);
     if reference.len() >= seed_len {
         let last = reference.len() - seed_len;
         let shards = shards.clamp(1, size);

@@ -76,36 +76,60 @@ fn slot_of(hash: u64, mask: usize) -> usize {
 /// table would merge distinct hashes' chains whenever their tags and
 /// slots collide — which hashes collide would then depend on the shard
 /// count, and the diff output with it. Exact keys keep chains identical
-/// to the serial single-map index for any shard count.
+/// to the serial single-map index for any shard count — and for any
+/// table size, which is what lets the table be sized per call.
 ///
 /// Vacancy is signalled by `head == EMPTY`, never stored for a live
 /// chain (a present key's head always points at a real node). Entries
-/// are never deleted; [`FlatHeads::clear`] resets the whole table and
-/// keeps the allocation, preserving the arena's zero-allocation steady
-/// state.
+/// are never deleted.
+///
+/// **Per-call reset cost is O(this call's input).** The allocation is
+/// kept across calls (the arena's zero-allocation steady state), but
+/// only its *active* prefix — `slots.len()`, sized by
+/// [`FlatHeads::reserve`] from the current reference — is initialised
+/// and probed. [`FlatHeads::clear`] truncates to zero slots in O(1), so
+/// a 4 KiB diff after a 1 MiB one touches a 4 KiB-sized table, not the
+/// high-water one.
 #[derive(Debug, Default)]
 pub(crate) struct FlatHeads {
+    /// The active table; its capacity is the retained allocation.
     slots: Vec<FlatSlot>,
     mask: usize,
     len: usize,
 }
 
+/// A vacant slot.
+const VACANT: FlatSlot = FlatSlot {
+    hash: 0,
+    head: EMPTY,
+};
+
 impl FlatHeads {
-    /// Marks every slot vacant; capacity is retained.
+    /// Drops every entry in O(1); the allocation is retained.
     pub(crate) fn clear(&mut self) {
-        for slot in &mut self.slots {
-            slot.head = EMPTY;
-        }
+        self.slots.clear();
+        self.mask = 0;
         self.len = 0;
     }
 
-    /// Grows the table so `entries` keys fit without triggering a
-    /// mid-build rehash. Never shrinks.
+    /// Sizes the active table so `entries` keys fit without a mid-build
+    /// rehash. An empty table is sized to exactly this demand (within
+    /// the retained allocation when it is large enough); a non-empty one
+    /// only grows.
     pub(crate) fn reserve(&mut self, entries: usize) {
-        let needed = (entries * FLAT_LOAD_DEN).div_ceil(FLAT_LOAD_NUM).max(1);
-        if needed > self.slots.len() {
-            self.rehash(needed.next_power_of_two().max(FLAT_MIN_SLOTS));
+        let needed = (entries * FLAT_LOAD_DEN)
+            .div_ceil(FLAT_LOAD_NUM)
+            .max(1)
+            .next_power_of_two()
+            .max(FLAT_MIN_SLOTS);
+        if self.len == 0 || needed > self.slots.len() {
+            self.rehash(needed);
         }
+    }
+
+    /// Number of active slots (the table this call probes).
+    pub(crate) fn active_slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// The chain head stored for `hash`, or [`EMPTY`].
@@ -151,20 +175,19 @@ impl FlatHeads {
 
     /// Re-buckets every live entry into a table of `new_len` slots
     /// (a power of two). Keys in the old table are unique, so reinsertion
-    /// probes for vacancies only.
+    /// probes for vacancies only. An empty table is resized in place
+    /// instead: only the new active slots are initialised, and nothing
+    /// is allocated when the retained capacity suffices.
     fn rehash(&mut self, new_len: usize) {
-        debug_assert!(new_len.is_power_of_two() && new_len > self.slots.len());
-        let old = std::mem::replace(
-            &mut self.slots,
-            vec![
-                FlatSlot {
-                    hash: 0,
-                    head: EMPTY
-                };
-                new_len
-            ],
-        );
+        debug_assert!(new_len.is_power_of_two());
         self.mask = new_len - 1;
+        if self.len == 0 {
+            self.slots.clear();
+            self.slots.resize(new_len, VACANT);
+            return;
+        }
+        debug_assert!(new_len > self.slots.len());
+        let old = std::mem::replace(&mut self.slots, vec![VACANT; new_len]);
         for slot in old {
             if slot.head == EMPTY {
                 continue;
@@ -297,6 +320,12 @@ impl DiffScratch {
     pub fn pool_mut(&mut self) -> &mut crate::ScriptPool {
         &mut self.pool
     }
+
+    /// The script-storage pool, read-only (spare counts and bounds).
+    #[must_use]
+    pub fn pool(&self) -> &crate::ScriptPool {
+        &self.pool
+    }
 }
 
 thread_local! {
@@ -393,6 +422,43 @@ mod tests {
             heads.upsert(u64::from(i) * 0x1234_5677, i);
         }
         assert_eq!(heads.slots.len(), cap, "reserve must pre-size the table");
+    }
+
+    #[test]
+    fn small_build_after_large_uses_a_small_table() {
+        let keys = |n: u32, salt: u64| {
+            (0..n).map(move |i| (u64::from(i) ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 7)
+        };
+        let mut heads = FlatHeads::default();
+        heads.reserve(1 << 20);
+        for (i, hash) in keys(1 << 20, 0).enumerate() {
+            heads.upsert(hash, i as u32);
+        }
+        let high_water = heads.slots.capacity();
+
+        heads.clear();
+        assert_eq!(heads.active_slots(), 0, "clear is a truncation");
+        heads.reserve(4096);
+        let mut fresh = FlatHeads::default();
+        fresh.reserve(4096);
+        assert_eq!(heads.active_slots(), fresh.active_slots());
+        assert!(heads.active_slots() < 4 * 4096, "sized for 4 KiB");
+        assert_eq!(heads.slots.capacity(), high_water, "allocation kept");
+
+        // Repeated keys (every third one) exercise chain-head updates.
+        let mut model = std::collections::HashMap::new();
+        for (i, hash) in keys(4096, 0x5a5a).enumerate() {
+            let hash = if i % 3 == 2 { hash ^ 1 } else { hash };
+            let prev = heads.upsert(hash, i as u32);
+            assert_eq!(prev, model.insert(hash, i as u32).unwrap_or(EMPTY));
+        }
+        assert_eq!(heads.active_slots(), fresh.active_slots(), "no rehash");
+        for (&hash, &head) in &model {
+            assert_eq!(heads.get(hash), head);
+        }
+        for hash in keys(1 << 20, 0).step_by(997) {
+            assert_eq!(heads.get(hash), *model.get(&hash).unwrap_or(&EMPTY));
+        }
     }
 
     #[test]

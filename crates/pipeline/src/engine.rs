@@ -12,7 +12,7 @@ use ipr_delta::diff::{
     DiffScratch, GreedyDiffer, IndexedDiffer, ParallelDiffer, DEFAULT_CHUNK_BYTES,
 };
 use ipr_delta::remote::{self, BlockSize, Chunking, Signature, SignatureError};
-use ipr_delta::DeltaScript;
+use ipr_delta::{DeltaScript, ScriptPool};
 
 /// Configuration shared by every stage of an [`Engine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -461,8 +461,8 @@ impl<D: IndexedDiffer> Engine<D> {
     /// allocating.
     pub fn recycle(&mut self, delta: InPlaceDelta) {
         let pool = self.diff_scratch.pool_mut();
-        pool.recycle(delta.script);
         pool.give_bytes(delta.payload);
+        pool.recycle(delta.script);
     }
 
     /// Returns a finished script's storage to the engine's pool (the
@@ -470,5 +470,13 @@ impl<D: IndexedDiffer> Engine<D> {
     /// payload).
     pub fn recycle_script(&mut self, script: DeltaScript) {
         self.diff_scratch.pool_mut().recycle(script);
+    }
+
+    /// The engine's script pool: the recycled storage its scripts and
+    /// payloads are built from. It retains at most one call's spares
+    /// (see [`ScriptPool`]).
+    #[must_use]
+    pub fn pool(&self) -> &ScriptPool {
+        self.diff_scratch.pool()
     }
 }

@@ -651,6 +651,40 @@ mod tests {
     }
 
     #[test]
+    fn deep_reads_keep_the_engine_pool_bounded() {
+        let mut store = temp_store("pool-bound", 8);
+        let history = versions(9);
+        let mut head = None;
+        for v in &history {
+            head = Some(store.put(v, None).unwrap().oid);
+        }
+        let head = head.unwrap();
+        assert_eq!(store.manifest().depth(head), Some(8));
+        // Each read decodes eight fresh scripts and recycles them into the
+        // engine's pool; only one read's worth of spares may stay.
+        let spares = |store: &Store| {
+            let pool = store.engine.pool();
+            assert!(pool.spare_bytes() <= pool.bytes_bound());
+            assert!(pool.spare_commands() <= pool.commands_bound());
+            (pool.spare_bytes(), pool.spare_commands())
+        };
+        let mut after_20 = None;
+        for i in 1..=200 {
+            assert_eq!(store.get(head).unwrap(), history[8]);
+            let now = spares(&store);
+            if i == 20 {
+                after_20 = Some(now);
+            }
+        }
+        assert_eq!(
+            Some(spares(&store)),
+            after_20,
+            "spares grew between get 20 and 200"
+        );
+        destroy(store);
+    }
+
+    #[test]
     fn prefix_resolution() {
         let mut store = temp_store("prefix", 8);
         let oid = store.put(b"some version", None).unwrap().oid;

@@ -195,3 +195,63 @@ proptest! {
         prop_assert_eq!(&buf, versions.last().unwrap());
     }
 }
+
+/// Deterministic pseudo-random bytes (xorshift64*).
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 56) as u8
+        })
+        .collect()
+}
+
+/// A pair whose version rotates the reference and splices in fresh
+/// bytes: long copies, a few adds and real CRWI cycles.
+fn rotated_pair(len: usize, seed: u64) -> (Vec<u8>, Vec<u8>) {
+    let reference = noise(len, seed);
+    let cut = len / 3;
+    let mut version = reference[cut..].to_vec();
+    version.extend_from_slice(&noise(len / 64 + 5, seed ^ 0xabcd));
+    version.extend_from_slice(&reference[..cut]);
+    (reference, version)
+}
+
+/// An engine whose arenas and pool were sized by a 512 KiB pair emits
+/// byte-identical deltas on small pairs to a fresh engine — the per-call
+/// index and pool sizing depend on the current input, never on history —
+/// including when large and small pairs alternate.
+#[test]
+fn engine_warmed_on_a_large_pair_matches_fresh_on_small_pairs() {
+    let large = rotated_pair(512 * 1024, 7);
+    let small: Vec<_> = [0, 40, 1024, 4096, 9000]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| rotated_pair(len, 100 + i as u64))
+        .collect();
+    for threads in [1, 2] {
+        let config = config_for(CyclePolicy::LocallyMinimum, threads);
+        let mut engine = Engine::with_config(config);
+        for round in 0..2 {
+            let delta = engine.update(&large.0, &large.1).expect("update");
+            engine.recycle(delta);
+            for (reference, version) in &small {
+                let warm = engine.update(reference, version).expect("update");
+                let fresh = Engine::with_config(config)
+                    .update(reference, version)
+                    .expect("update");
+                assert_eq!(
+                    warm.script.commands(),
+                    fresh.script.commands(),
+                    "threads {threads}, round {round}, {} bytes",
+                    version.len()
+                );
+                assert_eq!(warm.payload, fresh.payload);
+                engine.recycle(warm);
+            }
+        }
+    }
+}
