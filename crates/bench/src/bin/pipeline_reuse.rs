@@ -15,8 +15,10 @@
 //! * **stages_steady** — a third pass driving the stage methods
 //!   ([`diff`](ipr_pipeline::Engine::diff) →
 //!   [`convert`](ipr_pipeline::Engine::convert) →
-//!   [`plan`](ipr_pipeline::Engine::plan) → encode) separately, so
-//!   allocator traffic is attributed per stage;
+//!   [`plan`](ipr_pipeline::Engine::plan) → encode →
+//!   [`apply_in_place`](ipr_pipeline::Engine::apply_in_place) over a
+//!   reused buffer) separately, so allocator traffic is attributed per
+//!   stage;
 //! * **mixed** — a fresh engine warmed on the largest pair, then
 //!   [`MIXED_ROUNDS`] rounds alternating small hops (a chain 1/32 the
 //!   size) with the large ones. Each round also recycles one foreign
@@ -27,7 +29,7 @@
 //!
 //! Allocations are counted by a `#[global_allocator]` wrapper around the
 //! system allocator. The contract: at steady state **every** stage —
-//! diff, convert, schedule and encode — performs **zero** heap
+//! diff, convert, schedule, encode and apply — performs **zero** heap
 //! allocations per update. The encode stage draws its wire buffer from
 //! the engine's pool ([`Engine::encode`]) and [`Engine::recycle`]
 //! returns it, so even the caller-visible payload costs nothing once
@@ -40,7 +42,7 @@
 //! With `--compare <baseline.json>` the run gates instead of writing:
 //!
 //! * **steady-stage allocations** — any allocation in the steady-state
-//!   diff/convert/schedule/encode stages fails the run (an absolute,
+//!   diff/convert/schedule/encode/apply stages fails the run (an absolute,
 //!   within-run gate: it holds on any host and any chain size);
 //! * **allocator traffic** — steady-state allocations per update may not
 //!   exceed the baseline's by more than [`ALLOC_TOLERANCE`] (counts are
@@ -213,9 +215,10 @@ fn main() {
     // each one's allocator traffic is measured on its own. Two passes —
     // `update` never plans, so the first pass grows the schedule scratch
     // to its high-water mark; only the second is steady state.
-    let mut stages = [Measure::default(); 4];
+    let mut stages = [Measure::default(); 5];
+    let mut buf = Vec::new();
     for _pass in 0..2 {
-        stages = [Measure::default(); 4];
+        stages = [Measure::default(); 5];
         for (reference, version) in chain.hops() {
             let (script, m_diff) = measured(|| engine.diff(reference, version));
             let (outcome, m_convert) = measured(|| {
@@ -233,18 +236,37 @@ fn main() {
                     .encode(&outcome.script, version)
                     .expect("encodable script")
             });
+            buf.clear();
+            buf.extend_from_slice(reference);
+            buf.resize(reference.len().max(version.len()), 0);
+            let (_, m_apply) = measured(|| {
+                engine
+                    .apply_in_place(&outcome.script, &mut buf)
+                    .expect("converted script applies");
+            });
+            assert_eq!(&buf[..version.len()], version, "apply rebuilds the version");
             engine.recycle(InPlaceDelta {
                 script: outcome.script,
                 payload,
                 report: outcome.report,
                 version_len: version.len() as u64,
             });
-            for (slot, m) in stages.iter_mut().zip([m_diff, m_convert, m_plan, m_encode]) {
+            for (slot, m) in stages
+                .iter_mut()
+                .zip([m_diff, m_convert, m_plan, m_encode, m_apply])
+            {
                 slot.add(m);
             }
         }
     }
-    let [diff, convert, schedule, encode] = stages;
+    let [diff, convert, schedule, encode, apply] = stages;
+    let stage_rows = [
+        ("diff", &diff),
+        ("convert", &convert),
+        ("schedule", &schedule),
+        ("encode", &encode),
+        ("apply", &apply),
+    ];
 
     let mixed = mixed_phase(&chain, chain_bytes, hops);
 
@@ -277,12 +299,7 @@ fn main() {
         "{:<14} {:>12} {:>12} {:>14}",
         "steady stage", "total ms", "allocs", "allocs/update"
     );
-    for (label, m) in [
-        ("diff", &diff),
-        ("convert", &convert),
-        ("schedule", &schedule),
-        ("encode", &encode),
-    ] {
+    for (label, m) in stage_rows {
         println!(
             "{:<14} {:>12.2} {:>12} {:>14.1}",
             label,
@@ -319,15 +336,7 @@ fn main() {
     }
 
     if let Some(path) = baseline_path {
-        let breaches = gate(
-            &path,
-            &warm_steady,
-            &diff,
-            &convert,
-            &schedule,
-            &encode,
-            hops,
-        ) + gate_mixed(&mixed);
+        let breaches = gate(&path, &warm_steady, &stage_rows, hops) + gate_mixed(&mixed);
         if breaches > 0 {
             eprintln!("\n{breaches} regression(s) past the gates");
             std::process::exit(1);
@@ -353,12 +362,6 @@ fn main() {
     }
     json.push_str(&format!("  \"mixed\": {},\n", mixed.json()));
     json.push_str("  \"stages_steady\": {\n");
-    let stage_rows = [
-        ("diff", &diff),
-        ("convert", &convert),
-        ("schedule", &schedule),
-        ("encode", &encode),
-    ];
     for (i, (key, m)) in stage_rows.iter().enumerate() {
         json.push_str(&format!(
             "    \"{key}\": {}{}\n",
@@ -373,15 +376,7 @@ fn main() {
 }
 
 /// Gates the run against a stored report; returns the breach count.
-fn gate(
-    path: &str,
-    warm_steady: &Measure,
-    diff: &Measure,
-    convert: &Measure,
-    schedule: &Measure,
-    encode: &Measure,
-    hops: usize,
-) -> usize {
+fn gate(path: &str, warm_steady: &Measure, stages: &[(&str, &Measure)], hops: usize) -> usize {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
     let baseline = ipr_trace::json::parse(&text)
@@ -389,16 +384,11 @@ fn gate(
     let mut breaches = 0;
 
     println!(
-        "\nComparison against {path} (gates: zero steady diff/convert/schedule/encode \
+        "\nComparison against {path} (gates: zero steady diff/convert/schedule/encode/apply \
          allocations, steady allocs/update ≤ {ALLOC_TOLERANCE}x baseline)\n"
     );
     // Absolute within-run gate: the acceptance contract of the engine.
-    for (label, m) in [
-        ("diff", diff),
-        ("convert", convert),
-        ("schedule", schedule),
-        ("encode", encode),
-    ] {
+    for &(label, m) in stages {
         let status = if m.allocs > 0 {
             breaches += 1;
             "REGRESSED"

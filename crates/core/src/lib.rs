@@ -12,11 +12,11 @@
 //!   per a [`CyclePolicy`] when cycles block progress (§4.2, §5);
 //! * [`convert_to_in_place`] runs the full algorithm: reorder copies,
 //!   convert deleted copies to adds, move adds last (§4);
-//! * [`apply_in_place`] / [`apply_in_place_buffered`] rebuild the version
-//!   serially in a single buffer (§4.1's directional overlapped copies);
-//! * [`ParallelSchedule`] layers the conflict DAG into waves and
-//!   [`apply_in_place_parallel`] executes them on worker threads with
-//!   disjoint `&mut` slices — no locks, no `unsafe`;
+//! * [`exec`], the one in-place executor (§4.1), runs [`apply_in_place`],
+//!   [`apply_in_place_buffered`], [`resumable`] (power-fail safe) and
+//!   [`spill`] applications, and the inline waves of
+//!   [`apply_in_place_parallel`] (large waves of a [`ParallelSchedule`]
+//!   fan out to threads over disjoint `&mut` slices);
 //! * [`check_in_place_safe`] verifies the paper's Equation 2.
 //!
 //! # Example
@@ -53,6 +53,7 @@ mod schedule;
 mod toposort;
 mod verify;
 
+pub mod exec;
 pub mod resumable;
 pub mod spill;
 

@@ -34,7 +34,8 @@
 //! (see `CrwiStats`), so this hybrid keeps the scheduling overhead off the
 //! long tail of tiny trailing waves.
 
-use crate::apply::required_capacity;
+use crate::apply::{check_capacity, InPlaceApplyError};
+use crate::exec::{step, BufferSink, Op};
 use crate::schedule::ParallelSchedule;
 use ipr_delta::{Command, DeltaScript};
 use std::fmt;
@@ -216,14 +217,21 @@ pub fn apply_schedule_parallel(
     buf: &mut [u8],
     config: &ParallelConfig,
 ) -> Result<ParallelApplyReport, ParallelApplyError> {
-    let needed = required_capacity(script);
-    if (buf.len() as u64) < needed {
-        return Err(ParallelApplyError::BufferTooSmall {
+    check_capacity(script, buf.len()).map_err(
+        |InPlaceApplyError::BufferTooSmall { needed, actual }| ParallelApplyError::BufferTooSmall {
             needed,
-            actual: buf.len() as u64,
+            actual,
+        },
+    )?;
+    // Every schedule is an exact cover of its own script's commands (the
+    // planner builds it so, and permuting within waves keeps it so), so a
+    // plan covers `script` exactly when it has as many commands.
+    if plan.commands != script.len() {
+        return Err(ParallelApplyError::ScheduleMismatch {
+            script_commands: script.len(),
+            schedule_commands: plan.commands,
         });
     }
-    check_coverage(script, plan)?;
 
     let _span = ipr_trace::span("apply.parallel");
     let threads = config.effective_threads().max(1);
@@ -243,7 +251,10 @@ pub fn apply_schedule_parallel(
         }
     }
     if traced {
+        let bytes: u64 = script.commands().iter().map(Command::len).sum();
         ipr_trace::with(|r| {
+            r.add("apply.commands", script.len() as u64);
+            r.add("apply.bytes_moved", bytes);
             r.add("apply.waves", report.waves as u64);
             r.add("apply.parallel_waves", report.parallel_waves as u64);
             r.add("apply.snapshot_bytes", report.snapshot_bytes);
@@ -251,30 +262,6 @@ pub fn apply_schedule_parallel(
         });
     }
     Ok(report)
-}
-
-/// Verifies `plan` schedules each command of `script` exactly once.
-fn check_coverage(script: &DeltaScript, plan: &ParallelSchedule) -> Result<(), ParallelApplyError> {
-    let n = script.len();
-    let mismatch = |covered: usize| ParallelApplyError::ScheduleMismatch {
-        script_commands: n,
-        schedule_commands: covered,
-    };
-    let mut seen = vec![false; n];
-    let mut covered = 0usize;
-    for wave in plan.waves() {
-        for &i in wave {
-            if i >= n || seen[i] {
-                return Err(mismatch(plan.waves().iter().map(Vec::len).sum()));
-            }
-            seen[i] = true;
-            covered += 1;
-        }
-    }
-    if covered != n {
-        return Err(mismatch(covered));
-    }
-    Ok(())
 }
 
 /// One command's work, resolved before the wave's buffer is carved.
@@ -422,21 +409,11 @@ fn apply_wave(
 
 /// Applies a wave on the calling thread, in the order given. Correct in
 /// *any* intra-wave order: no command of a wave reads another same-wave
-/// command's write, and a self-overlapping copy is handled by
-/// `copy_within`'s memmove semantics.
+/// command's write, and a self-overlapping copy takes the §4.1 step.
 fn apply_wave_serial(cmds: &[Command], wave: &[usize], buf: &mut [u8]) {
+    let mut sink = BufferSink::new(buf, u64::MAX);
     for &i in wave {
-        match &cmds[i] {
-            Command::Copy(c) => {
-                let src = c.read_interval().as_usize_range();
-                let dst = usize::try_from(c.to).expect("offset fits usize");
-                buf.copy_within(src, dst);
-            }
-            Command::Add(a) => {
-                let dst = a.write_interval().as_usize_range();
-                buf[dst].copy_from_slice(&a.data);
-            }
-        }
+        let Ok(()) = step(&mut sink, i, Op::from(&cmds[i]));
     }
 }
 
@@ -517,7 +494,7 @@ fn balance(mut jobs: Vec<Job<'_>>, threads: usize) -> Vec<Vec<Job<'_>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply::apply_in_place;
+    use crate::apply::{apply_in_place, required_capacity};
     use crate::convert::{convert_to_in_place, ConversionConfig};
     use ipr_delta::diff::{Differ, GreedyDiffer};
 

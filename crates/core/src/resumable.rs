@@ -24,8 +24,9 @@
 //! region it describes) to stable storage between steps. The simulation
 //! in `ipr-device` drives exactly that protocol with crash injection.
 
-use crate::apply::{required_capacity, InPlaceApplyError};
-use ipr_delta::{Command, DeltaScript};
+use crate::apply::{check_capacity, InPlaceApplyError};
+use crate::exec::{execute, ops, Op, Pieces, Sink};
+use ipr_delta::DeltaScript;
 use std::fmt;
 
 /// Durable progress record for a resumable in-place application.
@@ -335,14 +336,7 @@ pub fn resume_in_place_observed(
     persist: &mut dyn FnMut(&Journal),
 ) -> Result<Progress, ResumeError> {
     assert!(chunk_size > 0, "chunk size must be positive");
-    let needed = required_capacity(script);
-    if (buf.len() as u64) < needed {
-        return Err(InPlaceApplyError::BufferTooSmall {
-            needed,
-            actual: buf.len() as u64,
-        }
-        .into());
-    }
+    check_capacity(script, buf.len())?;
     let commands = script.commands();
     if journal.command > commands.len() {
         return Err(ResumeError::JournalMismatch {
@@ -351,91 +345,114 @@ pub fn resume_in_place_observed(
         });
     }
     let _span = ipr_trace::span("apply.resumable");
-
-    let mut budget = max_bytes;
-
+    let first = journal.command;
+    let mut sink = Journaled {
+        buf,
+        journal,
+        chunk: chunk_size as u64,
+        budget: max_bytes,
+        persist,
+    };
     // Recovery: a staged chunk may or may not have reached the buffer
     // (possibly torn). Replaying it is always safe — the record carries
     // the full data — and completing it is a single journal update.
-    if let Some((to, data)) = journal.redo.clone() {
-        let start = to as usize;
-        buf[start..start + data.len()].copy_from_slice(&data);
-        journal.done += data.len() as u64;
-        journal.redo = None;
-        persist(journal);
-        budget = budget.saturating_sub(data.len() as u64);
+    if sink.journal.redo.is_some() {
         ipr_trace::add("resumable.replays", 1);
+        sink.budget = sink.budget.saturating_sub(sink.write_staged());
+    }
+    match execute("apply.resumable", ops(&commands[first..], first), &mut sink) {
+        Ok(()) => Ok(Progress::Complete),
+        Err(Halt::Suspended) => Ok(Progress::Suspended),
+        Err(Halt::Mismatch) => Err(ResumeError::JournalMismatch {
+            command: sink.journal.command,
+            commands: commands.len(),
+        }),
+    }
+}
+
+/// Why the journaled sink stopped: the byte budget ran out, or the
+/// journal's progress lies past the end of its command.
+enum Halt {
+    Suspended,
+    Mismatch,
+}
+
+/// The journaled sink: each piece of a command is staged in the journal
+/// as a redo record (durable point A), written, and recorded complete
+/// (durable point B).
+struct Journaled<'b, 'j, 'p> {
+    buf: &'b mut [u8],
+    journal: &'j mut Journal,
+    chunk: u64,
+    budget: u64,
+    persist: &'p mut dyn FnMut(&Journal),
+}
+
+impl Journaled<'_, '_, '_> {
+    /// Moves the journal's current command from the journal's progress,
+    /// then advances the journal to the next command.
+    fn command(&mut self, op: Op<'_>) -> Result<(), Halt> {
+        if self.journal.done > op.len() {
+            return Err(Halt::Mismatch);
+        }
+        let mut pieces = Pieces::new(op, self.journal.done);
+        while let Some((offset, n)) = pieces.next_piece(self.chunk.min(self.budget)) {
+            let (at, n) = (offset as usize, n as usize);
+            let staged = match op {
+                Op::Copy(c) => {
+                    let from = c.from as usize + at;
+                    (c.to + offset, self.buf[from..from + n].to_vec())
+                }
+                Op::Add(to, data) => (to + offset, data[at..at + n].to_vec()),
+            };
+            // Durable point A: the chunk is staged, the buffer untouched.
+            self.journal.redo = Some(staged);
+            (self.persist)(self.journal);
+            ipr_trace::with(|r| {
+                r.add("resumable.chunks", 1);
+                r.add("resumable.chunk_bytes", n as u64);
+            });
+            self.budget -= self.write_staged();
+        }
+        if self.journal.done < op.len() {
+            return Err(Halt::Suspended);
+        }
+        self.journal.command += 1;
+        self.journal.done = 0;
+        Ok(())
     }
 
-    while journal.command < commands.len() {
-        let cmd = &commands[journal.command];
-        let len = cmd.len();
-        if journal.done > len {
-            return Err(ResumeError::JournalMismatch {
-                command: journal.command,
-                commands: commands.len(),
-            });
-        }
-        if journal.done == len {
-            journal.command += 1;
-            journal.done = 0;
-            continue;
-        }
-        if budget == 0 {
-            return Ok(Progress::Suspended);
-        }
-        let n = (len - journal.done).min(chunk_size as u64).min(budget);
-        // Chunk placement honours the §4.1 direction rule: left-to-right
-        // when the source is at or after the destination, right-to-left
-        // otherwise, so completed chunks never overwrite pending source.
-        let (read_at, write_at) = match cmd {
-            Command::Copy(c) => {
-                if c.from >= c.to {
-                    (Some(c.from + journal.done), c.to + journal.done)
-                } else {
-                    let off = len - journal.done - n;
-                    (Some(c.from + off), c.to + off)
-                }
-            }
-            Command::Add(a) => (None, a.to + journal.done),
-        };
-        let data = match (read_at, cmd) {
-            (Some(src), _) => buf[src as usize..(src + n) as usize].to_vec(),
-            (None, Command::Add(a)) => {
-                // For right-to-left this branch is unreachable (adds never
-                // self-overlap), so `done` indexes from the left.
-                let off = journal.done as usize;
-                a.data[off..off + n as usize].to_vec()
-            }
-            (None, Command::Copy(_)) => unreachable!("copies always read"),
-        };
-        // Durable point A: chunk staged; buffer untouched so far.
-        journal.redo = Some((write_at, data));
-        persist(journal);
-        ipr_trace::with(|r| {
-            r.add("resumable.chunks", 1);
-            r.add("resumable.chunk_bytes", n);
-        });
-        // Crash window: the buffer write below may happen fully,
-        // partially, or not at all — the staged record recovers all three.
-        let (to, data) = journal.redo.as_ref().expect("just staged");
-        let start = *to as usize;
-        buf[start..start + data.len()].copy_from_slice(data);
-        // Durable point B: chunk complete (one atomic journal update).
-        journal.done += n;
-        journal.redo = None;
-        persist(journal);
-        budget -= n;
+    /// Writes the staged chunk and records it complete (durable point B);
+    /// returns its length. A crash during the write (fully, partially or
+    /// not at all) is recovered by replaying the staged record.
+    fn write_staged(&mut self) -> u64 {
+        let (to, data) = self.journal.redo.take().expect("a staged chunk");
+        self.buf[to as usize..to as usize + data.len()].copy_from_slice(&data);
+        self.journal.done += data.len() as u64;
+        (self.persist)(self.journal);
+        data.len() as u64
     }
-    Ok(Progress::Complete)
+}
+
+impl Sink for Journaled<'_, '_, '_> {
+    type Error = Halt;
+
+    fn copy(&mut self, _: usize, copy: &ipr_delta::Copy) -> Result<(), Halt> {
+        self.command(Op::Copy(copy))
+    }
+
+    fn add(&mut self, _: usize, to: u64, data: &[u8]) -> Result<(), Halt> {
+        self.command(Op::Add(to, data))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply::apply_in_place;
+    use crate::apply::{apply_in_place, required_capacity};
     use crate::convert::{convert_to_in_place, ConversionConfig};
     use ipr_delta::diff::{Differ, GreedyDiffer};
+    use ipr_delta::Command;
 
     fn converted_pair() -> (DeltaScript, Vec<u8>, Vec<u8>) {
         let reference: Vec<u8> = (0..4096u32).map(|i| (i * 29 % 251) as u8).collect();

@@ -10,6 +10,7 @@
 //! update, and `commands / waves` is the available parallelism.
 
 use crate::crwi;
+use crate::verify::first_violation;
 use ipr_delta::{Command, Copy, DeltaScript};
 use ipr_digraph::topo::{kahn_into, KahnScratch};
 use ipr_digraph::{Digraph, NodeId};
@@ -22,7 +23,7 @@ pub struct ParallelSchedule {
     /// add commands (and any copies nothing depends on).
     waves: Vec<Vec<usize>>,
     /// Total commands scheduled.
-    commands: usize,
+    pub(crate) commands: usize,
 }
 
 impl ParallelSchedule {
@@ -133,39 +134,6 @@ pub struct ScheduleScratch {
     plan: ParallelSchedule,
 }
 
-/// Scratch-based Equation 2 check, verdict-identical to
-/// [`check_in_place_safe`]: a script is unsafe iff some command's read
-/// interval overlaps the write interval of an *earlier* command. Write
-/// intervals are pairwise disjoint (a [`DeltaScript`] invariant), so
-/// sorting them by start makes the overlap query a binary search, and the
-/// sorted buffer is reusable across calls.
-fn is_safe_into(script: &DeltaScript, writes: &mut Vec<(u64, u64, usize)>) -> bool {
-    writes.clear();
-    writes.extend(script.commands().iter().enumerate().map(|(i, cmd)| {
-        let w = cmd.write_interval();
-        (w.start(), w.end(), i)
-    }));
-    writes.sort_unstable();
-    for (reader, cmd) in script.commands().iter().enumerate() {
-        let Some(read) = cmd.read_interval() else {
-            continue;
-        };
-        // Disjoint sorted writes: ends are sorted too, so the first
-        // candidate is the first write ending past the read's start.
-        let mut k = writes.partition_point(|&(_, end, _)| end <= read.start());
-        while let Some(&(start, _, writer)) = writes.get(k) {
-            if start >= read.end() {
-                break;
-            }
-            if writer < reader {
-                return false;
-            }
-            k += 1;
-        }
-    }
-    true
-}
-
 impl ScheduleScratch {
     /// Creates an empty scratch. Storage is grown on first use and reused
     /// afterwards.
@@ -191,7 +159,7 @@ impl ScheduleScratch {
 
     fn plan_impl(&mut self, script: &DeltaScript, validate: bool) -> Option<&ParallelSchedule> {
         let _span = ipr_trace::span("schedule.plan");
-        if validate && !is_safe_into(script, &mut self.writes) {
+        if validate && first_violation(script, &mut self.writes, |_| false).is_some() {
             return None;
         }
         let Self {
@@ -473,9 +441,9 @@ mod tests {
 
     #[test]
     fn scratch_safety_check_matches_verifier() {
-        // The scheduler's allocation-free Equation 2 check must agree
-        // with `check_in_place_safe` on safe, unsafe and add-clobbering
-        // scripts alike.
+        // The allocation-free Equation 2 check (on reused scratch) must
+        // agree with a naive pairwise check on safe, unsafe and
+        // add-clobbering scripts alike.
         let reference: Vec<u8> = (0..4_000u32).map(|i| (i * 7 % 233) as u8).collect();
         let mut version = reference.clone();
         version.rotate_left(321);
@@ -504,9 +472,17 @@ mod tests {
         scripts.push(safe.permuted(&order));
         let mut writes = Vec::new();
         for script in &scripts {
+            let cmds = script.commands();
+            let naive = cmds.iter().enumerate().all(|(j, cmd)| {
+                cmd.read_interval().is_none_or(|read| {
+                    cmds[..j]
+                        .iter()
+                        .all(|w| !w.write_interval().intersects(read))
+                })
+            });
             assert_eq!(
-                is_safe_into(script, &mut writes),
-                crate::verify::is_in_place_safe(script),
+                first_violation(script, &mut writes, |_| false).is_none(),
+                naive,
                 "verdicts diverge on {script:?}"
             );
         }

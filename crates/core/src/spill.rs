@@ -11,11 +11,13 @@
 //! ≥ the total bytes on cycles, cycle loss vanishes entirely. The
 //! `ablation` experiment sweeps the curve in between.
 
+use crate::apply::{check_capacity, InPlaceApplyError};
 use crate::convert::{ConversionConfig, ConvertError};
 use crate::crwi::CrwiGraph;
+use crate::exec::{execute, ops, BufferSink, Op};
 use crate::toposort::sort_breaking_cycles;
+use crate::verify::first_violation;
 use ipr_delta::{Add, Command, DeltaScript};
-use ipr_digraph::IntervalSet;
 use std::fmt;
 
 /// Configuration for [`convert_with_spill`].
@@ -54,7 +56,7 @@ pub struct SpillOutcome {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpillApplyError {
     /// Buffer smaller than `max(source_len, target_len)`.
-    Apply(crate::apply::InPlaceApplyError),
+    Apply(InPlaceApplyError),
     /// A stash index is out of range or not a copy command.
     BadStashIndex {
         /// The offending index.
@@ -88,8 +90,8 @@ impl fmt::Display for SpillApplyError {
 
 impl std::error::Error for SpillApplyError {}
 
-impl From<crate::apply::InPlaceApplyError> for SpillApplyError {
-    fn from(e: crate::apply::InPlaceApplyError) -> Self {
+impl From<InPlaceApplyError> for SpillApplyError {
+    fn from(e: InPlaceApplyError) -> Self {
         SpillApplyError::Apply(e)
     }
 }
@@ -176,39 +178,24 @@ pub fn convert_with_spill(
         .iter()
         .map(|&v| Command::Copy(crwi.copies()[v as usize]))
         .collect();
-    #[derive(Clone)]
-    enum Tail {
-        Stash(ipr_delta::Copy),
-        Literal(Add),
-    }
-    let mut tail: Vec<Tail> = Vec::new();
+    // The tail's only copies are the stashed ones.
+    let mut tail: Vec<Command> = script.adds().into_iter().map(Command::Add).collect();
     let mut bytes_converted = 0u64;
     let mut conversion_cost = 0u64;
-    for a in script.adds() {
-        tail.push(Tail::Literal(a));
-    }
     for c in &converted {
         bytes_converted += c.len;
         conversion_cost += config.conversion.cost_format.conversion_cost(c);
         let range = c.read_interval().as_usize_range();
-        tail.push(Tail::Literal(Add::new(c.to, reference[range].to_vec())));
+        tail.push(Command::Add(Add::new(c.to, reference[range].to_vec())));
     }
-    for c in &stashed_copies {
-        tail.push(Tail::Stash(*c));
-    }
-    tail.sort_by_key(|t| match t {
-        Tail::Stash(c) => c.to,
-        Tail::Literal(a) => a.to,
-    });
+    tail.extend(stashed_copies.iter().map(|&c| Command::Copy(c)));
+    tail.sort_by_key(Command::to);
     let mut stashed = Vec::with_capacity(stashed_copies.len());
-    for t in tail {
-        match t {
-            Tail::Stash(c) => {
-                stashed.push(commands.len());
-                commands.push(Command::Copy(c));
-            }
-            Tail::Literal(a) => commands.push(Command::Add(a)),
+    for cmd in tail {
+        if cmd.is_copy() {
+            stashed.push(commands.len());
         }
+        commands.push(cmd);
     }
     let script = DeltaScript::new(script.source_len(), script.target_len(), commands)
         .expect("spilled conversion preserves script validity");
@@ -237,7 +224,7 @@ pub fn convert_with_spill(
 /// The stashed copies' source regions are read into scratch *before* any
 /// command runs (they are the reads the topological order could not
 /// protect); all commands then apply serially, stashed ones writing from
-/// scratch.
+/// scratch (see [`Stash`]).
 ///
 /// # Errors
 ///
@@ -248,55 +235,71 @@ pub fn apply_in_place_spilled(
     buf: &mut [u8],
     scratch_budget: u64,
 ) -> Result<(), SpillApplyError> {
-    let needed = crate::apply::required_capacity(script);
-    if (buf.len() as u64) < needed {
-        return Err(crate::apply::InPlaceApplyError::BufferTooSmall {
-            needed,
-            actual: buf.len() as u64,
-        }
-        .into());
-    }
-    let _span = ipr_trace::span("apply.spilled");
-    // Phase 1: stash.
-    let mut total = 0u64;
-    let mut scratch: Vec<Vec<u8>> = Vec::with_capacity(stashed.len());
-    let mut is_stashed = vec![false; script.len()];
-    for (slot, &index) in stashed.iter().enumerate() {
-        let Some(Command::Copy(c)) = script.commands().get(index) else {
-            return Err(SpillApplyError::BadStashIndex { index });
-        };
-        total += c.len;
-        if total > scratch_budget {
-            return Err(SpillApplyError::ScratchExceeded {
-                needed: total,
-                budget: scratch_budget,
-            });
-        }
-        scratch.push(buf[c.read_interval().as_usize_range()].to_vec());
-        is_stashed[index] = true;
-        let _ = slot;
-    }
-    // Phase 2: serial application; stashed copies write from scratch.
-    let mut next_slot = vec![usize::MAX; script.len()];
-    for (slot, &index) in stashed.iter().enumerate() {
-        next_slot[index] = slot;
-    }
-    for (i, cmd) in script.commands().iter().enumerate() {
-        match cmd {
-            Command::Copy(c) if is_stashed[i] => {
-                let dst = c.write_interval().as_usize_range();
-                buf[dst].copy_from_slice(&scratch[next_slot[i]]);
-            }
-            Command::Copy(c) => {
-                let src = c.read_interval().as_usize_range();
-                buf.copy_within(src, c.to as usize);
-            }
-            Command::Add(a) => {
-                buf[a.write_interval().as_usize_range()].copy_from_slice(&a.data);
-            }
-        }
-    }
+    check_capacity(script, buf.len())?;
+    let stash = Stash::take(script, stashed, buf, scratch_budget)?;
+    let Ok(()) = execute(
+        "apply.spilled",
+        stash.ops(script),
+        &mut BufferSink::new(buf, u64::MAX),
+    );
     Ok(())
+}
+
+/// The spill command source: the stashed copies' source bytes, read
+/// before any command writes, replayed as writes in place of those copies.
+#[derive(Clone, Debug, Default)]
+pub struct Stash(Vec<(usize, Vec<u8>)>);
+
+impl Stash {
+    /// Reads the `stashed` copies' source bytes out of `buf`, which holds
+    /// the reference.
+    ///
+    /// # Errors
+    ///
+    /// [`SpillApplyError::BadStashIndex`] for an index naming no copy,
+    /// [`SpillApplyError::ScratchExceeded`] once the stash passes
+    /// `scratch_budget`.
+    pub fn take(
+        script: &DeltaScript,
+        stashed: &[usize],
+        buf: &[u8],
+        scratch_budget: u64,
+    ) -> Result<Self, SpillApplyError> {
+        let mut stash = Self::default();
+        for &index in stashed {
+            let Some(Command::Copy(c)) = script.commands().get(index) else {
+                return Err(SpillApplyError::BadStashIndex { index });
+            };
+            let needed = stash.scratch_bytes() + c.len;
+            if needed > scratch_budget {
+                return Err(SpillApplyError::ScratchExceeded {
+                    needed,
+                    budget: scratch_budget,
+                });
+            }
+            let bytes = buf[c.read_interval().as_usize_range()].to_vec();
+            stash.0.push((index, bytes));
+        }
+        stash.0.sort_by_key(|(index, _)| *index);
+        Ok(stash)
+    }
+
+    /// Scratch bytes the stash holds.
+    #[must_use]
+    pub fn scratch_bytes(&self) -> u64 {
+        self.0.iter().map(|(_, bytes)| bytes.len() as u64).sum()
+    }
+
+    /// `script`'s commands, stashed copies replaced by writes of their
+    /// stashed bytes.
+    pub fn ops<'a>(&'a self, script: &'a DeltaScript) -> impl Iterator<Item = (usize, Op<'a>)> {
+        ops(script.commands(), 0).map(|(i, op)| {
+            match self.0.binary_search_by_key(&i, |(index, _)| *index) {
+                Ok(slot) => (i, Op::Add(script.commands()[i].to(), &self.0[slot].1)),
+                Err(_) => (i, op),
+            }
+        })
+    }
 }
 
 /// Checks the spilled variant of Equation 2: stashed copies read at time
@@ -305,25 +308,14 @@ pub fn apply_in_place_spilled(
 /// precedes it*.
 #[must_use]
 pub fn is_spill_safe(script: &DeltaScript, stashed: &[usize]) -> bool {
-    let mut is_stashed = vec![false; script.len()];
-    for &i in stashed {
-        if i >= script.len() || !script.commands()[i].is_copy() {
-            return false;
-        }
-        is_stashed[i] = true;
-    }
-    let mut written = IntervalSet::new();
-    for (i, cmd) in script.commands().iter().enumerate() {
-        if !is_stashed[i] {
-            if let Some(read) = cmd.read_interval() {
-                if written.intersects(read) {
-                    return false;
-                }
-            }
-        }
-        written.insert(cmd.write_interval());
-    }
-    true
+    let mut sorted = stashed.to_vec();
+    sorted.sort_unstable();
+    let is_copy = |i: usize| script.commands().get(i).is_some_and(Command::is_copy);
+    sorted.iter().all(|&i| is_copy(i))
+        && first_violation(script, &mut Vec::new(), |i| {
+            sorted.binary_search(&i).is_ok()
+        })
+        .is_none()
 }
 
 #[cfg(test)]

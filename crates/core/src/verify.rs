@@ -14,7 +14,7 @@
 //! later read.
 
 use ipr_delta::DeltaScript;
-use ipr_digraph::{Interval, IntervalSet};
+use ipr_digraph::Interval;
 use std::fmt;
 
 /// Evidence of a write-before-read conflict in a script's command order.
@@ -68,21 +68,74 @@ impl std::error::Error for WrViolation {}
 /// # }
 /// ```
 pub fn check_in_place_safe(script: &DeltaScript) -> Result<(), WrViolation> {
-    let mut written = IntervalSet::new();
+    first_violation(script, &mut Vec::new(), |_| false).map_or(Ok(()), Err)
+}
+
+/// The first command (reads marked by `skip` excepted) whose read
+/// overlaps the write of an earlier command, with the bytes it loses.
+pub(crate) fn first_violation(
+    script: &DeltaScript,
+    writes: &mut Vec<(u64, u64, usize)>,
+    skip: impl Fn(usize) -> bool,
+) -> Option<WrViolation> {
+    let mut found: Option<WrViolation> = None;
+    scan_conflicts(script, writes, skip, |c| {
+        let read = script.commands()[c.reader].read_interval();
+        let v = found.get_or_insert(WrViolation {
+            reader: c.reader,
+            read: read.expect("a conflict's reader reads"),
+            clobbered_bytes: 0,
+        });
+        let same = v.reader == c.reader;
+        if same {
+            v.clobbered_bytes += c.overlap.len();
+        }
+        same
+    });
+    found
+}
+
+/// The one Equation 2 scan: calls `visit` with every conflict — an
+/// earlier command's write overlapping a later command's read (reads
+/// marked by `skip` excepted) — in reader order, then write order, until
+/// `visit` returns false. Write intervals are pairwise disjoint (a
+/// [`DeltaScript`] invariant), so sorted by start — into the reusable
+/// `writes` — their ends are sorted too, and each read's candidates start
+/// at one binary search: `O(n log n + conflicts)`, no allocation once
+/// `writes` is warm.
+fn scan_conflicts(
+    script: &DeltaScript,
+    writes: &mut Vec<(u64, u64, usize)>,
+    skip: impl Fn(usize) -> bool,
+    mut visit: impl FnMut(Conflict) -> bool,
+) {
+    writes.clear();
+    writes.extend(script.commands().iter().enumerate().map(|(i, cmd)| {
+        let w = cmd.write_interval();
+        (w.start(), w.end(), i)
+    }));
+    writes.sort_unstable();
     for (reader, cmd) in script.commands().iter().enumerate() {
-        if let Some(read) = cmd.read_interval() {
-            let clobbered_bytes = written.intersection_len(read);
-            if clobbered_bytes > 0 {
-                return Err(WrViolation {
+        let Some(read) = cmd.read_interval().filter(|_| !skip(reader)) else {
+            continue;
+        };
+        let first = writes.partition_point(|&(_, end, _)| end <= read.start());
+        for &(start, end, writer) in &writes[first..] {
+            if start >= read.end() {
+                break;
+            }
+            let overlap = Interval::new(start.max(read.start()), end.min(read.end()));
+            if writer < reader
+                && !visit(Conflict {
+                    writer,
                     reader,
-                    read,
-                    clobbered_bytes,
-                });
+                    overlap,
+                })
+            {
+                return;
             }
         }
-        written.insert(cmd.write_interval());
     }
-    Ok(())
 }
 
 /// Whether the script satisfies Equation 2 (see [`check_in_place_safe`]).
@@ -136,40 +189,16 @@ impl fmt::Display for Conflict {
 /// ```
 #[must_use]
 pub fn list_wr_conflicts(script: &DeltaScript, limit: usize) -> Vec<Conflict> {
-    use ipr_digraph::IntervalIndex;
-    let commands = script.commands();
-    let mut by_write: Vec<usize> = (0..commands.len()).collect();
-    by_write.sort_by_key(|&i| commands[i].to());
-    let index = IntervalIndex::new(
-        by_write
-            .iter()
-            .map(|&i| commands[i].write_interval())
-            .collect(),
-    )
-    .expect("script write intervals are disjoint and non-empty");
     let mut conflicts = Vec::new();
-    for (reader, cmd) in commands.iter().enumerate() {
-        let Some(read) = cmd.read_interval() else {
-            continue;
-        };
-        for k in index.overlapping(read) {
-            let writer = by_write[k];
-            if writer < reader {
-                let overlap = commands[writer]
-                    .write_interval()
-                    .intersection(read)
-                    .expect("index returned an overlapping interval");
-                conflicts.push(Conflict {
-                    writer,
-                    reader,
-                    overlap,
-                });
-                if conflicts.len() == limit {
-                    return conflicts;
-                }
-            }
-        }
-    }
+    scan_conflicts(
+        script,
+        &mut Vec::new(),
+        |_| false,
+        |c| {
+            conflicts.push(c);
+            conflicts.len() != limit
+        },
+    );
     conflicts
 }
 
@@ -181,31 +210,16 @@ pub fn list_wr_conflicts(script: &DeltaScript, limit: usize) -> Vec<Conflict> {
 /// Runs in `O(n log n + conflicts)`.
 #[must_use]
 pub fn count_wr_conflicts(script: &DeltaScript) -> usize {
-    use ipr_digraph::IntervalIndex;
-    let commands = script.commands();
-    // Sort write intervals (disjoint by construction) for range queries,
-    // remembering each command's application position.
-    let mut by_write: Vec<usize> = (0..commands.len()).collect();
-    by_write.sort_by_key(|&i| commands[i].to());
-    let index = IntervalIndex::new(
-        by_write
-            .iter()
-            .map(|&i| commands[i].write_interval())
-            .collect(),
-    )
-    .expect("script write intervals are disjoint and non-empty");
     let mut conflicts = 0;
-    for (j, cmd) in commands.iter().enumerate() {
-        let Some(read) = cmd.read_interval() else {
-            continue;
-        };
-        for k in index.overlapping(read) {
-            let i = by_write[k];
-            if i < j {
-                conflicts += 1;
-            }
-        }
-    }
+    scan_conflicts(
+        script,
+        &mut Vec::new(),
+        |_| false,
+        |_| {
+            conflicts += 1;
+            true
+        },
+    );
     conflicts
 }
 
@@ -234,6 +248,26 @@ mod tests {
         assert_eq!(err.read, Interval::new(4, 8));
         assert_eq!(err.clobbered_bytes, 4);
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn evidence_sums_every_earlier_write_the_read_hits() {
+        // Command 2 reads [2, 8): 2 bytes of command 0's write, 2 of
+        // command 1's, and 2 bytes of its own write (not a violation).
+        let script = DeltaScript::new(
+            12,
+            12,
+            vec![
+                Command::add(0, vec![1; 4]),
+                Command::add(4, vec![2; 2]),
+                Command::copy(2, 6, 6),
+            ],
+        )
+        .unwrap();
+        let err = check_in_place_safe(&script).unwrap_err();
+        assert_eq!((err.reader, err.clobbered_bytes), (2, 4));
+        assert_eq!(count_wr_conflicts(&script), 2);
+        assert_eq!(list_wr_conflicts(&script, 1).len(), 1);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! detector, so applying a delta that violates Equation 2 fails loudly
 //! instead of silently corrupting the image.
 
-use ipr_delta::{Command, DeltaScript};
+use ipr_core::exec::{self, execute, ops, BufferSink, Interval, IntervalSet, Op, Sink};
+use ipr_core::resumable::{resume_in_place, Journal, Progress};
+use ipr_core::spill::{SpillApplyError, Stash};
+use ipr_delta::{Command, Copy, DeltaScript};
 use std::fmt;
 
 /// Error returned by device operations.
@@ -46,6 +49,10 @@ pub enum DeviceError {
         /// Declared target length.
         target_len: u64,
     },
+    /// A spilled update's stash metadata is unusable: an index that
+    /// names no copy command, or stashed copies needing more scratch than
+    /// the budget.
+    Spill(SpillApplyError),
 }
 
 impl fmt::Display for DeviceError {
@@ -71,6 +78,7 @@ impl fmt::Display for DeviceError {
             } => {
                 write!(f, "update covered {covered} of {target_len} target bytes")
             }
+            DeviceError::Spill(e) => write!(f, "spilled update rejected: {e}"),
         }
     }
 }
@@ -79,6 +87,7 @@ impl std::error::Error for DeviceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DeviceError::Resume(e) => Some(e),
+            DeviceError::Spill(e) => Some(e),
             _ => None,
         }
     }
@@ -174,8 +183,10 @@ impl Device {
     /// Applies a delta update in place, *with* run-time write-before-read
     /// fault detection.
     ///
-    /// The script's commands are applied serially against device storage;
-    /// before each copy, its read interval is checked against the set of
+    /// The script's commands run through one [`UpdateSession`]
+    /// ([`Device::begin_update`], then [`UpdateSession::apply_command`]
+    /// for each command, then [`UpdateSession::commit`]): before each
+    /// copy, its read interval is checked against the set of
     /// already-written bytes. A script produced by
     /// [`convert_to_in_place`](ipr_core::convert_to_in_place) always
     /// passes; an unconverted delta will typically fault here instead of
@@ -190,12 +201,15 @@ impl Device {
     ///   source length does not match the installed image.
     /// * [`DeviceError::WriteBeforeRead`] — runtime Equation 2 violation.
     pub fn apply_update(&mut self, script: &DeltaScript) -> Result<UpdateStats, DeviceError> {
-        self.apply_inner(script, true)
+        let mut session = self.begin_update(script.source_len(), script.target_len())?;
+        execute("apply.checked", ops(script.commands(), 0), &mut session)?;
+        session.commit()
     }
 
     /// Applies a delta update in place *without* write-before-read
-    /// checking, as a naive device would. Unsafe scripts silently corrupt
-    /// the image; used to demonstrate the failure mode.
+    /// checking, as a naive device would: [`ipr_core::apply_in_place`] on
+    /// the device storage. Unsafe scripts silently corrupt the image; used
+    /// to demonstrate the failure mode.
     ///
     /// # Errors
     ///
@@ -205,14 +219,21 @@ impl Device {
         &mut self,
         script: &DeltaScript,
     ) -> Result<UpdateStats, DeviceError> {
-        self.apply_inner(script, false)
+        let needed = self.admit(script.source_len(), script.target_len(), true)?;
+        ipr_core::apply_in_place(script, &mut self.storage[..needed])
+            .expect("admitted: storage holds both versions");
+        self.image_len = script.target_len() as usize;
+        Ok(UpdateStats {
+            commands: script.len(),
+            bytes_written: script.target_len(),
+            bytes_read: script.copied_bytes(),
+            scratch_bytes: 0,
+        })
     }
 
-    /// Applies a delta update incrementally with a durable
-    /// [`Journal`](ipr_core::resumable::Journal),
+    /// Applies a delta update incrementally with a durable [`Journal`],
     /// surviving power loss at any point: call repeatedly (persisting the
-    /// journal between calls) until it returns
-    /// [`Progress::Complete`](ipr_core::resumable::Progress::Complete).
+    /// journal between calls) until it returns [`Progress::Complete`].
     /// `max_bytes` bounds the work per call — the simulation's stand-in
     /// for "the device lost power after this much progress".
     ///
@@ -230,30 +251,14 @@ impl Device {
     pub fn apply_update_resumable(
         &mut self,
         script: &DeltaScript,
-        journal: &mut ipr_core::resumable::Journal,
+        journal: &mut Journal,
         max_bytes: u64,
-    ) -> Result<ipr_core::resumable::Progress, DeviceError> {
-        use ipr_core::resumable::{resume_in_place, Progress};
-        if !self.flashed {
-            return Err(DeviceError::NotFlashed);
-        }
-        let needed = script.source_len().max(script.target_len());
-        if needed > self.capacity() {
-            return Err(DeviceError::CapacityExceeded {
-                needed,
-                capacity: self.capacity(),
-            });
-        }
+    ) -> Result<Progress, DeviceError> {
         let fresh = journal.command_index() == 0
             && journal.bytes_done_in_command() == 0
             && !journal.has_pending_chunk();
+        let needed = self.admit(script.source_len(), script.target_len(), fresh)?;
         if fresh {
-            if script.source_len() != self.image_len as u64 {
-                return Err(DeviceError::CapacityExceeded {
-                    needed: script.source_len(),
-                    capacity: self.capacity(),
-                });
-            }
             if let Err(v) = ipr_core::check_in_place_safe(script) {
                 return Err(DeviceError::WriteBeforeRead {
                     command: v.reader,
@@ -261,9 +266,14 @@ impl Device {
                 });
             }
         }
-        let end = needed as usize;
-        let progress = resume_in_place(script, &mut self.storage[..end], journal, 4096, max_bytes)
-            .map_err(DeviceError::Resume)?;
+        let progress = resume_in_place(
+            script,
+            &mut self.storage[..needed],
+            journal,
+            4096,
+            max_bytes,
+        )
+        .map_err(DeviceError::Resume)?;
         if progress == Progress::Complete {
             self.image_len = script.target_len() as usize;
         }
@@ -272,62 +282,44 @@ impl Device {
 
     /// Applies a *spilled* update: a script converted with
     /// [`convert_with_spill`](ipr_core::spill::convert_with_spill), whose
-    /// stashed copies are staged through a bounded scratch buffer. The
-    /// report's `scratch_bytes` records the actual scratch used — the
-    /// middle ground between the paper's zero-scratch reconstruction and
-    /// holding a whole second image.
+    /// stashed copies are read into a bounded scratch buffer first
+    /// ([`Stash`]) and then replayed as writes through the same checked
+    /// session as [`Device::apply_update`]. The report's `scratch_bytes`
+    /// records the actual scratch used — the middle ground between the
+    /// paper's zero-scratch reconstruction and holding a whole second
+    /// image.
     ///
     /// # Errors
     ///
     /// * [`DeviceError::NotFlashed`] / [`DeviceError::CapacityExceeded`] —
     ///   as for [`Device::apply_update`].
-    /// * [`DeviceError::InvalidCommand`] — bad stash metadata, scratch
-    ///   budget exceeded, or the script is unsafe under stash semantics.
+    /// * [`DeviceError::Spill`] — a stash index that names no copy, or a
+    ///   stash larger than `scratch_budget`; the image is untouched.
+    /// * [`DeviceError::WriteBeforeRead`] — an unstashed copy reads bytes
+    ///   an earlier command wrote (the script is unsafe under stash
+    ///   semantics); the update is abandoned at that command.
     pub fn apply_update_spilled(
         &mut self,
         script: &DeltaScript,
         stashed: &[usize],
         scratch_budget: u64,
     ) -> Result<UpdateStats, DeviceError> {
-        if !self.flashed {
-            return Err(DeviceError::NotFlashed);
-        }
-        let needed = script.source_len().max(script.target_len());
-        if needed > self.capacity() || script.source_len() != self.image_len as u64 {
-            return Err(DeviceError::CapacityExceeded {
-                needed: needed.max(script.source_len()),
-                capacity: self.capacity(),
-            });
-        }
-        if !ipr_core::spill::is_spill_safe(script, stashed) {
-            return Err(DeviceError::InvalidCommand { command: 0 });
-        }
-        let end = needed as usize;
-        ipr_core::spill::apply_in_place_spilled(
-            script,
-            stashed,
-            &mut self.storage[..end],
-            scratch_budget,
-        )
-        .map_err(|_| DeviceError::InvalidCommand { command: 0 })?;
-        self.image_len = script.target_len() as usize;
-        let scratch_bytes: u64 = stashed
-            .iter()
-            .filter_map(|&i| script.commands().get(i))
-            .map(Command::len)
-            .sum();
-        Ok(UpdateStats {
-            commands: script.len(),
-            bytes_written: script.target_len(),
-            bytes_read: script.copied_bytes(),
-            scratch_bytes,
-        })
+        let needed = self.admit(script.source_len(), script.target_len(), true)?;
+        let stash = Stash::take(script, stashed, &self.storage[..needed], scratch_budget)
+            .map_err(DeviceError::Spill)?;
+        let mut session = self.begin_update(script.source_len(), script.target_len())?;
+        execute("apply.spilled", stash.ops(script), &mut session)?;
+        let mut stats = session.commit()?;
+        stats.bytes_read += stash.scratch_bytes();
+        stats.scratch_bytes = stash.scratch_bytes();
+        Ok(stats)
     }
 
     /// Begins a command-at-a-time update of declared dimensions, for
     /// streaming installation: commands are applied as they arrive off
     /// the wire, each checked against the write-before-read fault
-    /// detector, with memory bounded by one command.
+    /// detector, with memory bounded by one command plus the written
+    /// set (one interval per run of written bytes).
     ///
     /// The update takes effect (the device's image length changes) only
     /// when [`UpdateSession::commit`] is called; dropping the session
@@ -344,22 +336,12 @@ impl Device {
         source_len: u64,
         target_len: u64,
     ) -> Result<UpdateSession<'_>, DeviceError> {
-        if !self.flashed {
-            return Err(DeviceError::NotFlashed);
-        }
-        let needed = source_len.max(target_len);
-        if needed > self.capacity() || source_len != self.image_len as u64 {
-            return Err(DeviceError::CapacityExceeded {
-                needed: needed.max(source_len),
-                capacity: self.capacity(),
-            });
-        }
+        self.admit(source_len, target_len, true)?;
         Ok(UpdateSession {
-            written: vec![false; needed as usize],
-            covered: 0,
+            device: self,
+            written: IntervalSet::new(),
             target_len,
             stats: UpdateStats::default(),
-            device: self,
         })
     }
 
@@ -374,97 +356,56 @@ impl Device {
         source_len: u64,
         target_len: u64,
         written: &[(u64, u64)],
-        covered: u64,
         stats: UpdateStats,
     ) -> Result<UpdateSession<'_>, DeviceError> {
+        self.admit(source_len, target_len, false)?;
+        self.image_len = source_len as usize;
+        Ok(UpdateSession {
+            device: self,
+            written: written.iter().map(|&(s, e)| Interval::new(s, e)).collect(),
+            target_len,
+            stats,
+        })
+    }
+
+    /// The precondition every update path checks before touching
+    /// storage: an image is installed, `max(source_len, target_len)`
+    /// fits the device and — when `source_is_image` — the update's
+    /// source is the installed image. Returns the bytes of storage the
+    /// update uses.
+    fn admit(
+        &self,
+        source_len: u64,
+        target_len: u64,
+        source_is_image: bool,
+    ) -> Result<usize, DeviceError> {
         if !self.flashed {
             return Err(DeviceError::NotFlashed);
         }
         let needed = source_len.max(target_len);
-        if needed > self.capacity() {
+        if needed > self.capacity() || (source_is_image && source_len != self.image_len as u64) {
             return Err(DeviceError::CapacityExceeded {
                 needed,
                 capacity: self.capacity(),
             });
         }
-        self.image_len = source_len as usize;
-        let mut map = vec![false; needed as usize];
-        for &(start, end) in written {
-            map[start as usize..end as usize].fill(true);
-        }
-        Ok(UpdateSession {
-            written: map,
-            covered,
-            target_len,
-            stats,
-            device: self,
-        })
-    }
-
-    fn apply_inner(
-        &mut self,
-        script: &DeltaScript,
-        checked: bool,
-    ) -> Result<UpdateStats, DeviceError> {
-        if !self.flashed {
-            return Err(DeviceError::NotFlashed);
-        }
-        let needed = script.source_len().max(script.target_len());
-        if needed > self.capacity() || script.source_len() != self.image_len as u64 {
-            return Err(DeviceError::CapacityExceeded {
-                needed: needed.max(script.source_len()),
-                capacity: self.capacity(),
-            });
-        }
-
-        let mut written = if checked {
-            vec![false; needed as usize]
-        } else {
-            Vec::new()
-        };
-        let mut stats = UpdateStats::default();
-        for (index, cmd) in script.commands().iter().enumerate() {
-            match cmd {
-                Command::Copy(c) => {
-                    let src = c.read_interval().as_usize_range();
-                    if checked {
-                        if let Some(bad) = written[src.clone()].iter().position(|&w| w) {
-                            return Err(DeviceError::WriteBeforeRead {
-                                command: index,
-                                offset: c.from + bad as u64,
-                            });
-                        }
-                    }
-                    let dst = c.write_interval().as_usize_range();
-                    self.storage.copy_within(src, dst.start);
-                    if checked {
-                        written[dst].fill(true);
-                    }
-                    stats.bytes_read += c.len;
-                    stats.bytes_written += c.len;
-                }
-                Command::Add(a) => {
-                    let dst = a.write_interval().as_usize_range();
-                    self.storage[dst.clone()].copy_from_slice(&a.data);
-                    if checked {
-                        written[dst].fill(true);
-                    }
-                    stats.bytes_written += a.len();
-                }
-            }
-            stats.commands += 1;
-        }
-        self.image_len = script.target_len() as usize;
-        Ok(stats)
+        Ok(needed as usize)
     }
 }
 
-/// An in-flight streaming update (see [`Device::begin_update`]).
+/// An in-flight update (see [`Device::begin_update`]): the checked sink.
+///
+/// Every command must write inside the declared target, read inside the
+/// installed image, read nothing an earlier command wrote (Equation 2,
+/// checked at run time) and write nothing an earlier command wrote;
+/// accepted commands move through the plain buffer sink over device
+/// storage. The written bytes are kept as an [`IntervalSet`], so the
+/// session's memory grows with the runs of written bytes, not with the
+/// image.
 #[derive(Debug)]
 pub struct UpdateSession<'a> {
     device: &'a mut Device,
-    written: Vec<bool>,
-    covered: u64,
+    written: IntervalSet,
     target_len: u64,
     stats: UpdateStats,
 }
@@ -481,57 +422,26 @@ impl UpdateSession<'_> {
     ///   outside the declared dimensions, or overlaps an earlier write
     ///   (write intervals must be disjoint).
     pub fn apply_command(&mut self, cmd: &Command) -> Result<(), DeviceError> {
-        match cmd.to().checked_add(cmd.len()) {
-            Some(end) if end <= self.target_len => {}
-            _ => {
-                return Err(DeviceError::InvalidCommand {
-                    command: self.stats.commands,
-                })
-            }
-        }
-        match cmd {
-            Command::Copy(c) => {
-                match c.from.checked_add(c.len) {
-                    Some(end) if end <= self.device.image_len as u64 => {}
-                    _ => {
-                        return Err(DeviceError::InvalidCommand {
-                            command: self.stats.commands,
-                        })
-                    }
-                }
-                let src = c.read_interval().as_usize_range();
-                if let Some(bad) = self.written[src.clone()].iter().position(|&w| w) {
-                    return Err(DeviceError::WriteBeforeRead {
-                        command: self.stats.commands,
-                        offset: c.from + bad as u64,
-                    });
-                }
-                let dst = c.write_interval().as_usize_range();
-                self.check_disjoint(&dst)?;
-                self.device.storage.copy_within(src, dst.start);
-                self.written[dst].fill(true);
-                self.stats.bytes_read += c.len;
-                self.stats.bytes_written += c.len;
-            }
-            Command::Add(a) => {
-                let dst = a.write_interval().as_usize_range();
-                self.check_disjoint(&dst)?;
-                self.device.storage[dst.clone()].copy_from_slice(&a.data);
-                self.written[dst].fill(true);
-                self.stats.bytes_written += a.len();
-            }
-        }
-        self.covered += cmd.len();
-        self.stats.commands += 1;
-        Ok(())
+        exec::step(self, self.stats.commands, Op::from(cmd))
     }
 
-    fn check_disjoint(&self, dst: &std::ops::Range<usize>) -> Result<(), DeviceError> {
-        if self.written[dst.clone()].iter().any(|&w| w) {
-            return Err(DeviceError::InvalidCommand {
-                command: self.stats.commands,
-            });
+    /// The write interval `[to, to + len)` if it lies inside the target.
+    fn target_write(&self, command: usize, to: u64, len: u64) -> Result<Interval, DeviceError> {
+        match to.checked_add(len) {
+            Some(end) if end <= self.target_len => Ok(Interval::new(to, end)),
+            _ => Err(DeviceError::InvalidCommand { command }),
         }
+    }
+
+    /// Records `write` as written, rejecting an overlap with an earlier
+    /// command's write.
+    fn claim(&mut self, command: usize, write: Interval) -> Result<(), DeviceError> {
+        if self.written.intersects(write) {
+            return Err(DeviceError::InvalidCommand { command });
+        }
+        self.written.insert(write);
+        self.stats.bytes_written += write.len();
+        self.stats.commands += 1;
         Ok(())
     }
 
@@ -543,7 +453,7 @@ impl UpdateSession<'_> {
 
     /// Target bytes covered by the applied commands so far.
     pub(crate) fn covered(&self) -> u64 {
-        self.covered
+        self.written.covered_bytes()
     }
 
     /// Running statistics (the commit-time report in progress).
@@ -551,25 +461,13 @@ impl UpdateSession<'_> {
         self.stats
     }
 
-    /// The written bitmap as coalesced `[start, end)` intervals — the
+    /// The written set as coalesced `[start, end)` intervals — the
     /// serializable form of the session's write-before-read state.
     pub(crate) fn written_intervals(&self) -> Vec<(u64, u64)> {
-        let mut runs = Vec::new();
-        let mut start = None;
-        for (i, &w) in self.written.iter().enumerate() {
-            match (w, start) {
-                (true, None) => start = Some(i as u64),
-                (false, Some(s)) => {
-                    runs.push((s, i as u64));
-                    start = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(s) = start {
-            runs.push((s, self.written.len() as u64));
-        }
-        runs
+        self.written
+            .iter()
+            .map(|iv| (iv.start(), iv.end()))
+            .collect()
     }
 
     /// Finalizes the update; fails unless the commands exactly covered
@@ -579,15 +477,52 @@ impl UpdateSession<'_> {
     ///
     /// [`DeviceError::IncompleteUpdate`] when the applied commands do not
     /// cover the declared target exactly.
-    pub fn commit(self) -> Result<UpdateStats, DeviceError> {
-        if self.covered != self.target_len {
+    pub fn commit(mut self) -> Result<UpdateStats, DeviceError> {
+        self.finish()?;
+        self.device.image_len = self.target_len as usize;
+        Ok(self.stats)
+    }
+}
+
+impl Sink for UpdateSession<'_> {
+    type Error = DeviceError;
+
+    fn copy(&mut self, index: usize, c: &Copy) -> Result<(), DeviceError> {
+        let write = self.target_write(index, c.to, c.len)?;
+        match c.from.checked_add(c.len) {
+            Some(end) if end <= self.device.image_len as u64 => {}
+            _ => return Err(DeviceError::InvalidCommand { command: index }),
+        }
+        let read = c.read_interval();
+        if self.written.intersects(read) {
+            let first = self.written.iter().find_map(|w| w.intersection(read));
+            return Err(DeviceError::WriteBeforeRead {
+                command: index,
+                offset: first.expect("intersects").start(),
+            });
+        }
+        self.claim(index, write)?;
+        self.stats.bytes_read += c.len;
+        let Ok(()) = BufferSink::new(&mut self.device.storage, u64::MAX).copy(index, c);
+        Ok(())
+    }
+
+    fn add(&mut self, index: usize, to: u64, data: &[u8]) -> Result<(), DeviceError> {
+        let write = self.target_write(index, to, data.len() as u64)?;
+        self.claim(index, write)?;
+        let Ok(()) = BufferSink::new(&mut self.device.storage, u64::MAX).add(index, to, data);
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<(), DeviceError> {
+        let covered = self.covered();
+        if covered != self.target_len {
             return Err(DeviceError::IncompleteUpdate {
-                covered: self.covered,
+                covered,
                 target_len: self.target_len,
             });
         }
-        self.device.image_len = self.target_len as usize;
-        Ok(self.stats)
+        Ok(())
     }
 }
 
@@ -819,13 +754,30 @@ mod tests {
         .unwrap();
         let mut dev = Device::new(8192);
         dev.flash(&reference).unwrap();
-        // Claiming no stash renders the script unsafe.
-        if !out.stashed.is_empty() {
-            let err = dev
-                .apply_update_spilled(&out.script, &[], 4096)
-                .unwrap_err();
-            assert!(matches!(err, DeviceError::InvalidCommand { .. }));
-        }
+        // Claiming no stash renders the script unsafe: the first copy
+        // that reads a stashed copy's overwritten source faults.
+        assert!(!out.stashed.is_empty());
+        let err = dev
+            .apply_update_spilled(&out.script, &[], 4096)
+            .unwrap_err();
+        assert!(matches!(err, DeviceError::WriteBeforeRead { .. }), "{err}");
+        // Bad stash metadata is typed and leaves the image untouched.
+        let mut dev = Device::new(8192);
+        dev.flash(&reference).unwrap();
+        assert_eq!(
+            dev.apply_update_spilled(&out.script, &[usize::MAX], 4096),
+            Err(DeviceError::Spill(SpillApplyError::BadStashIndex {
+                index: usize::MAX
+            }))
+        );
+        assert!(matches!(
+            dev.apply_update_spilled(&out.script, &out.stashed, 1),
+            Err(DeviceError::Spill(SpillApplyError::ScratchExceeded {
+                budget: 1,
+                ..
+            }))
+        ));
+        assert_eq!(dev.image(), &reference[..]);
     }
 
     #[test]

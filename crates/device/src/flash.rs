@@ -14,7 +14,10 @@
 //! over full reflashes can be measured (see the `flash` experiment
 //! binary).
 
-use ipr_delta::{Command, DeltaScript};
+use ipr_core::exec::{execute, ops, Op, Pieces, Sink};
+use ipr_delta::{Copy, DeltaScript};
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -309,16 +312,17 @@ impl<'a> FlashUpdater<'a> {
 
     /// Applies a converted, Equation-2-safe delta script in place.
     ///
-    /// Commands run serially in script order. Each command's write range
-    /// is split at erase-block boundaries; every piece captures its
-    /// source bytes from flash immediately (Equation 2 guarantees they
-    /// are still the reference bytes) and is merged into a pending RAM
-    /// copy of its destination block. A pending block is flushed —
-    /// erase + program, with unwritten bytes preserved bit-exactly — once
-    /// every byte the script will ever write to it has arrived, or
-    /// earlier if the RAM budget forces an eviction. Blocks whose final
-    /// content equals their current content (identity copies over
-    /// unchanged regions) are never erased at all.
+    /// Commands run serially in script order through the flash sink.
+    /// Each command is cut at erase-block boundaries of its write range
+    /// (in the §4.1 order, [`Pieces::next_in_block`]); every piece
+    /// captures its source bytes from flash immediately (Equation 2
+    /// guarantees they are still the reference bytes) and is merged into
+    /// a pending RAM copy of its destination block. A pending block is
+    /// flushed — erase + program, with unwritten bytes preserved
+    /// bit-exactly — once every byte the script will ever write to it has
+    /// arrived, or earlier if the RAM budget forces an eviction. Blocks
+    /// whose final content equals their current content (identity copies
+    /// over unchanged regions) are never erased at all.
     ///
     /// # Errors
     ///
@@ -326,7 +330,6 @@ impl<'a> FlashUpdater<'a> {
     /// not match the installed image, [`FlashError::OutOfRange`] if the
     /// new version exceeds the part.
     pub fn apply_update(&mut self, script: &DeltaScript) -> Result<FlashUpdateStats, FlashError> {
-        let _span = ipr_trace::span("device.flash_update");
         if script.source_len() != self.image_len as u64 {
             return Err(FlashError::ImageMismatch {
                 expected: script.source_len(),
@@ -341,70 +344,29 @@ impl<'a> FlashUpdater<'a> {
             });
         }
         let before = (self.flash.total_erases(), self.flash.programmed_bytes());
+        let block = self.flash.block_size as u64;
 
         // Bytes each block will receive over the whole script, so a
         // pending block can be flushed the moment it is complete.
         let mut expected: HashMap<usize, u64> = HashMap::new();
         for cmd in script.commands() {
-            for (_, abs, n) in self.pieces_of(cmd) {
-                *expected.entry(self.flash.block_of(abs)).or_default() += n;
+            let mut pieces = Pieces::new(Op::from(cmd), 0);
+            while let Some((offset, n)) = pieces.next_in_block(block) {
+                *expected
+                    .entry(((cmd.to() + offset) / block) as usize)
+                    .or_default() += n;
             }
         }
-
-        let mut pending: HashMap<usize, PendingBlock> = HashMap::new();
-        let mut merged_total: HashMap<usize, u64> = HashMap::new();
-        let mut payload = 0u64;
-
-        for cmd in script.commands() {
-            for (off, abs, n) in self.pieces_of(cmd) {
-                // 1. Capture the piece's bytes (source read happens now).
-                let piece: Vec<u8> = match cmd {
-                    Command::Copy(c) => self.flash.read(c.from + off, n as usize)?.to_vec(),
-                    Command::Add(a) => a.data[off as usize..(off + n) as usize].to_vec(),
-                };
-                // 2. Merge into the pending copy of the destination block.
-                let block = self.flash.block_of(abs);
-                let block_start = (block * self.flash.block_size) as u64;
-                let entry = match pending.entry(block) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        let data = self
-                            .flash
-                            .read(block_start, self.flash.block_size)?
-                            .to_vec();
-                        v.insert(PendingBlock { data, dirty: false })
-                    }
-                };
-                let rel = (abs - block_start) as usize;
-                if entry.data[rel..rel + n as usize] != piece[..] {
-                    entry.data[rel..rel + n as usize].copy_from_slice(&piece);
-                    entry.dirty = true;
-                    payload += n;
-                }
-                *merged_total.entry(block).or_default() += n;
-                // 3. Flush complete blocks; evict if RAM is over budget.
-                if merged_total[&block] >= expected[&block] {
-                    let done = pending.remove(&block).expect("pending");
-                    self.flush(block, done)?;
-                } else if pending.len() > self.ram_blocks {
-                    // Evict the pending block closest to completion (ties
-                    // toward the lowest index, for determinism).
-                    let victim = pending
-                        .keys()
-                        .copied()
-                        .max_by_key(|b| {
-                            let frac = merged_total[b] * 1_000_000 / expected[b].max(1);
-                            (frac, std::cmp::Reverse(*b))
-                        })
-                        .expect("pending is non-empty");
-                    let evicted = pending.remove(&victim).expect("pending");
-                    self.flush(victim, evicted)?;
-                }
-            }
-        }
-        for (block, entry) in pending {
-            self.flush(block, entry)?;
-        }
+        let mut sink = FlashSink {
+            flash: self.flash,
+            ram_blocks: self.ram_blocks,
+            expected,
+            pending: HashMap::new(),
+            merged: HashMap::new(),
+            payload: 0,
+        };
+        execute("device.flash_update", ops(script.commands(), 0), &mut sink)?;
+        let payload = sink.payload;
         self.image_len = script.target_len() as usize;
         Ok(FlashUpdateStats {
             erases: self.flash.total_erases() - before.0,
@@ -412,38 +374,101 @@ impl<'a> FlashUpdater<'a> {
             payload_bytes: payload,
         })
     }
+}
 
-    /// Splits `cmd`'s write interval at erase-block boundaries, honouring
-    /// the §4.1 direction rule for self-overlapping copies. Yields
-    /// `(offset-in-command, absolute write offset, length)`.
-    fn pieces_of(&self, cmd: &Command) -> Vec<(u64, u64, u64)> {
-        let to = cmd.to();
-        let len = cmd.len();
-        let mut pieces = Vec::new();
-        let mut off = 0u64;
-        while off < len {
-            let abs = to + off;
-            let block_end = ((self.flash.block_of(abs) + 1) * self.flash.block_size) as u64;
-            let n = (block_end - abs).min(len - off);
-            pieces.push((off, abs, n));
-            off += n;
+/// The flash sink: merges each command's pieces into pending RAM copies
+/// of their erase blocks, flushing a block once complete or RAM runs
+/// out. `expected` / `merged` count each block's bytes over the whole
+/// script / so far; `payload` counts bytes that changed the image.
+struct FlashSink<'f> {
+    flash: &'f mut FlashStorage,
+    ram_blocks: usize,
+    expected: HashMap<usize, u64>,
+    pending: HashMap<usize, PendingBlock>,
+    merged: HashMap<usize, u64>,
+    payload: u64,
+}
+
+impl FlashSink<'_> {
+    fn command(&mut self, op: Op<'_>) -> Result<(), FlashError> {
+        let block_size = self.flash.block_size;
+        let mut pieces = Pieces::new(op, 0);
+        while let Some((offset, n)) = pieces.next_in_block(block_size as u64) {
+            let (to, piece) = match op {
+                // The source read happens now.
+                Op::Copy(c) => (c.to, self.flash.read(c.from + offset, n as usize)?),
+                Op::Add(to, data) => (to, &data[offset as usize..(offset + n) as usize]),
+            };
+            // Merge into the pending copy of the destination block.
+            let abs = to + offset;
+            let block = self.flash.block_of(abs);
+            let block_start = (block * block_size) as u64;
+            let entry = match self.pending.entry(block) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(v) => {
+                    let data = self.flash.read(block_start, block_size)?.to_vec();
+                    v.insert(PendingBlock { data, dirty: false })
+                }
+            };
+            let rel = (abs - block_start) as usize;
+            let slot = &mut entry.data[rel..rel + n as usize];
+            if slot != piece {
+                slot.copy_from_slice(piece);
+                entry.dirty = true;
+                self.payload += n;
+            }
+            let merged = self.merged.entry(block).or_default();
+            *merged += n;
+            // Flush a complete block; or, if RAM is over budget, evict the
+            // pending block closest to completion (ties toward the lowest
+            // index, for determinism).
+            let victim = if *merged >= self.expected[&block] {
+                block
+            } else if self.pending.len() > self.ram_blocks {
+                let progress = |b: &usize| self.merged[b] * 1_000_000 / self.expected[b].max(1);
+                let victim = self
+                    .pending
+                    .keys()
+                    .max_by_key(|&b| (progress(b), Reverse(*b)));
+                *victim.expect("pending is non-empty")
+            } else {
+                continue;
+            };
+            let entry = self.pending.remove(&victim).expect("pending");
+            flush(self.flash, victim, entry)?;
         }
-        if matches!(cmd, Command::Copy(c) if c.from < c.to) {
-            pieces.reverse();
-        }
-        pieces
+        Ok(())
+    }
+}
+
+impl Sink for FlashSink<'_> {
+    type Error = FlashError;
+
+    fn copy(&mut self, _index: usize, copy: &Copy) -> Result<(), FlashError> {
+        self.command(Op::Copy(copy))
     }
 
-    /// Erases and reprograms one block with its pending content; skipped
-    /// entirely when nothing in the block actually changed.
-    fn flush(&mut self, block: usize, entry: PendingBlock) -> Result<(), FlashError> {
-        if !entry.dirty {
-            return Ok(());
-        }
-        let block_start = (block * self.flash.block_size) as u64;
-        self.flash.erase_block(block);
-        self.flash.program(block_start, &entry.data)
+    fn add(&mut self, _index: usize, to: u64, data: &[u8]) -> Result<(), FlashError> {
+        self.command(Op::Add(to, data))
     }
+
+    fn finish(&mut self) -> Result<(), FlashError> {
+        for (block, entry) in self.pending.drain() {
+            flush(self.flash, block, entry)?;
+        }
+        Ok(())
+    }
+}
+
+/// Erases and reprograms one block with its pending content; skipped
+/// entirely when nothing in the block actually changed.
+fn flush(flash: &mut FlashStorage, block: usize, entry: PendingBlock) -> Result<(), FlashError> {
+    if !entry.dirty {
+        return Ok(());
+    }
+    let block_start = (block * flash.block_size) as u64;
+    flash.erase_block(block);
+    flash.program(block_start, &entry.data)
 }
 
 /// A RAM copy of one erase block with writes merged in.
@@ -559,7 +584,8 @@ mod tests {
 
     #[test]
     fn image_mismatch_rejected() {
-        let script = ipr_delta::DeltaScript::new(50, 10, vec![Command::copy(0, 0, 10)]).unwrap();
+        let script =
+            ipr_delta::DeltaScript::new(50, 10, vec![ipr_delta::Command::copy(0, 0, 10)]).unwrap();
         let mut flash = flash_with_image(&[0u8; 40], 2, 64);
         let mut updater = FlashUpdater::new(&mut flash, 40);
         assert_eq!(

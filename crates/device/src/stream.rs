@@ -92,7 +92,7 @@ const INSTALL_CHECKPOINT_MAGIC: [u8; 4] = *b"IPC1";
 /// the decoder's wire position ([`StreamCheckpoint`]), the journal's
 /// flash progress and stream offset ([`Journal`]), and the update
 /// session's write-before-read state (covered bytes plus the written
-/// bitmap as coalesced intervals). A device persists this (a few dozen
+/// set as coalesced intervals). A device persists this (a few dozen
 /// bytes plus the interval list) alongside its storage; resuming
 /// validates the records against each other before touching flash.
 #[derive(Clone, Debug, PartialEq)]
@@ -326,7 +326,6 @@ impl<'a> StreamingInstall<'a> {
             header.source_len,
             header.target_len,
             &checkpoint.written,
-            checkpoint.covered,
             checkpoint.stats,
         )?;
         ipr_trace::add("stream.resumes", 1);
@@ -440,7 +439,7 @@ impl<'a> StreamingInstall<'a> {
 }
 
 /// Accounting for one [`stream_install`] power cycle.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StreamReport {
     /// Wire bytes received this power cycle.
     pub received_bytes: u64,
@@ -518,35 +517,14 @@ pub fn stream_install(
     kill_after_chunks: Option<u64>,
 ) -> Result<StreamProgress, InstallError> {
     let _span = ipr_trace::span("stream.install");
-    let mut time = Duration::ZERO;
-    let mut retransmissions = 0u64;
-    let mut chunks = 0u64;
-    let mut received = 0u64;
-    let mut time_to_first_byte = None;
-    let mut commands_pre_eof = 0u64;
-
-    let report = |time: Duration,
-                  retransmissions: u64,
-                  chunks: u64,
-                  received: u64,
-                  ttfb: Option<Duration>,
-                  pre_eof: u64,
-                  commands: u64,
-                  resumes: u64,
-                  high_water: u64| StreamReport {
-        received_bytes: received,
-        transfer_time: time,
-        time_to_first_byte: ttfb,
-        retransmissions,
-        chunks,
-        commands_applied: commands,
-        commands_pre_eof: pre_eof,
-        resumes,
-        buffered_high_water: high_water,
-        stats: None,
-        crc_verified: false,
+    let mut report = StreamReport::default();
+    let transfer = |report: &mut StreamReport, chunk: &[u8]| {
+        let frames = channel.simulate_transfer(chunk.len() as u64, mtu);
+        report.transfer_time += frames.time;
+        report.retransmissions += frames.retransmissions;
+        report.chunks += 1;
+        report.received_bytes += chunk.len() as u64;
     };
-
     let mut install = match resume_from {
         Some(checkpoint) => StreamingInstall::resume(device, checkpoint)?,
         None => {
@@ -560,30 +538,17 @@ pub fn stream_install(
                 let Some(chunk) = stream.chunk_at(offset) else {
                     return Err(InstallError::Decode(DecodeError::Truncated));
                 };
-                let frames = channel.simulate_transfer(chunk.len() as u64, mtu);
-                time += frames.time;
-                retransmissions += frames.retransmissions;
-                chunks += 1;
-                received += chunk.len() as u64;
+                transfer(&mut report, chunk);
                 decoder.push(chunk);
                 if decoder.poll_header()?.is_some() {
                     break;
                 }
-                if kill_after_chunks.is_some_and(|k| chunks >= k) {
-                    ipr_trace::add("stream.chunks", chunks);
+                if kill_after_chunks.is_some_and(|k| report.chunks >= k) {
+                    ipr_trace::add("stream.chunks", report.chunks);
+                    report.buffered_high_water = decoder.buffered_high_water() as u64;
                     return Ok(StreamProgress::Killed {
                         checkpoint: None,
-                        report: report(
-                            time,
-                            retransmissions,
-                            chunks,
-                            received,
-                            None,
-                            0,
-                            0,
-                            0,
-                            decoder.buffered_high_water() as u64,
-                        ),
+                        report,
                     });
                 }
             }
@@ -595,85 +560,56 @@ pub fn stream_install(
     // boundary is a durable checkpoint (whole commands applied, journal
     // aligned with the decoder).
     let wire_len = stream.wire_len();
-    loop {
+    let killed = loop {
         if install.commands_applied() > 0 {
-            if time_to_first_byte.is_none() {
-                time_to_first_byte = Some(time);
+            if report.time_to_first_byte.is_none() {
+                report.time_to_first_byte = Some(report.transfer_time);
             }
             if install.wire_offset() < wire_len {
-                commands_pre_eof = install.commands_applied() as u64;
+                report.commands_pre_eof = install.commands_applied() as u64;
             }
         }
         if install.is_complete() {
-            break;
+            break false;
         }
-        if kill_after_chunks.is_some_and(|k| chunks >= k) {
-            let checkpoint = install.checkpoint();
-            ipr_trace::with(|r| {
-                r.add("stream.chunks", chunks);
-                r.add("stream.commands_pre_eof", commands_pre_eof);
-                r.gauge("stream.buffered_high_water", install.buffered_high_water());
-            });
-            return Ok(StreamProgress::Killed {
-                report: report(
-                    time,
-                    retransmissions,
-                    chunks,
-                    received,
-                    time_to_first_byte,
-                    commands_pre_eof,
-                    install.commands_applied() as u64,
-                    install.resumes(),
-                    install.buffered_high_water(),
-                ),
-                checkpoint: Some(checkpoint),
-            });
+        if kill_after_chunks.is_some_and(|k| report.chunks >= k) {
+            break true;
         }
         let Some(chunk) = stream.chunk_at(install.wire_offset()) else {
             // Wire exhausted before the declared command count: let
             // commit report the truncation.
-            break;
+            break false;
         };
-        let frames = channel.simulate_transfer(chunk.len() as u64, mtu);
-        time += frames.time;
-        retransmissions += frames.retransmissions;
-        chunks += 1;
-        received += chunk.len() as u64;
+        transfer(&mut report, chunk);
         install.feed(chunk)?;
-    }
+    };
 
-    let commands = install.commands_applied() as u64;
-    let resumes = install.resumes();
-    let high_water = install.buffered_high_water();
-    let (header, stats) = install.commit()?;
-    let crc_verified = verify_image_crc(device, &header)?;
+    report.commands_applied = install.commands_applied() as u64;
+    report.resumes = install.resumes();
+    report.buffered_high_water = install.buffered_high_water();
+    let checkpoint = killed.then(|| install.checkpoint());
+    if !killed {
+        let (header, stats) = install.commit()?;
+        report.crc_verified = verify_image_crc(device, header.target_crc)?;
+        report.stats = Some(stats);
+    }
     ipr_trace::with(|r| {
-        r.add("stream.chunks", chunks);
-        r.add("stream.commands_pre_eof", commands_pre_eof);
-        r.gauge("stream.buffered_high_water", high_water);
+        r.add("stream.chunks", report.chunks);
+        r.add("stream.commands_pre_eof", report.commands_pre_eof);
+        r.gauge("stream.buffered_high_water", report.buffered_high_water);
     });
-    let mut done = report(
-        time,
-        retransmissions,
-        chunks,
-        received,
-        time_to_first_byte,
-        commands_pre_eof,
-        commands,
-        resumes,
-        high_water,
-    );
-    done.stats = Some(stats);
-    done.crc_verified = crc_verified;
-    Ok(StreamProgress::Complete(done))
+    Ok(match checkpoint {
+        Some(checkpoint) => StreamProgress::Killed {
+            checkpoint: Some(checkpoint),
+            report,
+        },
+        None => StreamProgress::Complete(report),
+    })
 }
 
-/// Verifies the device image against the header's embedded CRC, if any.
-pub(crate) fn verify_image_crc(
-    device: &Device,
-    header: &StreamHeader,
-) -> Result<bool, InstallError> {
-    match header.target_crc {
+/// Verifies the device image against an embedded CRC, if any.
+pub(crate) fn verify_image_crc(device: &Device, crc: Option<u32>) -> Result<bool, InstallError> {
+    match crc {
         Some(expected) => {
             let actual = crc32(device.image());
             if actual != expected {

@@ -4,7 +4,6 @@
 use crate::channel::Channel;
 use crate::device::{Device, DeviceError, UpdateStats};
 use ipr_core::{convert_to_in_place, ConversionConfig, ConversionReport, ConvertError};
-use ipr_delta::checksum::crc32;
 use ipr_delta::codec::{self, DecodeError, EncodeError, Format};
 use ipr_delta::diff::Differ;
 use std::fmt;
@@ -253,16 +252,7 @@ pub fn install_update(
     let transfer_time = channel.transfer_time(payload.len() as u64);
     let decoded = codec::decode(payload)?;
     let stats = device.apply_update(&decoded.script)?;
-    let crc_verified = match decoded.target_crc {
-        Some(expected) => {
-            let actual = crc32(device.image());
-            if actual != expected {
-                return Err(InstallError::ChecksumMismatch { expected, actual });
-            }
-            true
-        }
-        None => false,
-    };
+    let crc_verified = crate::stream::verify_image_crc(device, decoded.target_crc)?;
     Ok(InstallReport {
         received_bytes: payload.len() as u64,
         transfer_time,
@@ -341,7 +331,7 @@ pub fn install_update_streaming<'a>(
         install.feed(chunk)?;
     }
     let (header, stats) = install.commit()?;
-    let crc_verified = crate::stream::verify_image_crc(device, &header)?;
+    let crc_verified = crate::stream::verify_image_crc(device, header.target_crc)?;
     Ok(InstallReport {
         received_bytes: received,
         transfer_time: channel.transfer_time(received),

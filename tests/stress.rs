@@ -5,17 +5,25 @@
 //! `IPR_STRESS_ITERS` to scale the workload). Every iteration draws a
 //! seeded random file pair and drives diff → convert (all policies) →
 //! encode (all formats) → decode → apply (scratch, in-place, buffered,
-//! resumable, spilled, device) and cross-checks every path byte-for-byte.
+//! wave-parallel at 1 and 2 threads, resumable, spilled, checked and
+//! unchecked device, streamed install, NOR flash) and cross-checks every
+//! path byte-for-byte. Where the unconverted delta violates Equation 2,
+//! the checked device and the streamed install must report the same
+//! write-before-read fault.
 
 use ipr::core::resumable::{resume_in_place, Journal, Progress};
 use ipr::core::spill::{apply_in_place_spilled, convert_with_spill, SpillConfig};
 use ipr::core::{
-    apply_in_place, apply_in_place_buffered, check_in_place_safe, convert_to_in_place,
-    required_capacity, ConversionConfig, CyclePolicy,
+    apply_in_place, apply_in_place_buffered, apply_in_place_parallel, check_in_place_safe,
+    convert_to_in_place, required_capacity, ConversionConfig, CyclePolicy, ParallelConfig,
+    ReadMode,
 };
 use ipr::delta::codec::{decode, encode, Format};
 use ipr::delta::diff::{CorrectingDiffer, Differ, GreedyDiffer, OnePassDiffer, WindowedDiffer};
-use ipr::device::Device;
+use ipr::delta::DeltaScript;
+use ipr::device::flash::{FlashStorage, FlashUpdater};
+use ipr::device::update::{install_update_streaming, InstallError};
+use ipr::device::{Channel, Device, DeviceError};
 use ipr::workloads::content::{generate, ContentKind};
 use ipr::workloads::mutate::{mutate, MutationProfile};
 use rand::rngs::StdRng;
@@ -132,11 +140,102 @@ fn stress_one(seed: u64) {
     apply_in_place(&decoded.script, &mut e).unwrap();
     assert_eq!(&e[..version.len()], &version[..], "seed {seed}: {format}");
 
+    // Wave-parallel applier, inline and fanned out to two threads.
+    for threads in [1, 2] {
+        let config = ParallelConfig {
+            threads,
+            read_mode: if rng.random_bool(0.5) {
+                ReadMode::ZeroCopy
+            } else {
+                ReadMode::Snapshot
+            },
+            serial_wave_bytes: rng.random_range(0..4096),
+        };
+        let mut w = reference.clone();
+        w.resize(capacity, 0);
+        apply_in_place_parallel(&out.script, &mut w, &config).unwrap();
+        assert_eq!(a, w, "seed {seed}: waves {config:?}");
+    }
+
     // Checked device application.
     let mut device = Device::new(capacity);
     device.flash(&reference).unwrap();
     device.apply_update(&out.script).unwrap();
     assert_eq!(device.image(), &version[..], "seed {seed}: device");
+
+    // Unchecked device application of the safe script.
+    let mut naive = Device::new(capacity);
+    naive.flash(&reference).unwrap();
+    naive.apply_update_unchecked(&out.script).unwrap();
+    assert_eq!(naive.image(), &version[..], "seed {seed}: unchecked device");
+
+    // Streamed install of the wire bytes, randomly chunked.
+    let wire_chunk = rng.random_range(1..512);
+    let mut streamed = Device::new(capacity);
+    streamed.flash(&reference).unwrap();
+    install_update_streaming(&mut streamed, wire.chunks(wire_chunk), Channel::dialup()).unwrap();
+    assert_eq!(
+        streamed.image(),
+        &version[..],
+        "seed {seed}: streamed in {wire_chunk} B chunks"
+    );
+
+    // NOR flash, random erase-block size and RAM budget.
+    let block = rng.random_range(16..4096usize);
+    let mut flash = FlashStorage::new(capacity.div_ceil(block).max(1), block);
+    let mut updater = FlashUpdater::new(&mut flash, 0).with_ram_blocks(rng.random_range(1..8));
+    updater.reflash(&reference).unwrap();
+    updater.apply_update(&out.script).unwrap();
+    assert_eq!(
+        updater.image(),
+        &version[..],
+        "seed {seed}: flash block {block}"
+    );
+
+    // The unconverted delta: where it is unsafe in place, the checked
+    // device and the streamed install fault at the same command and byte.
+    if check_in_place_safe(&script).is_err() {
+        let chunk = rng.random_range(1..512);
+        assert_same_fault(&script, &reference, chunk, seed);
+    }
+}
+
+/// Applies the unsafe `script` through `Device::apply_update` and through
+/// `install_update_streaming` (wire chunks of `chunk` bytes) and asserts
+/// both report the same `WriteBeforeRead { command, offset }`.
+fn assert_same_fault(script: &DeltaScript, reference: &[u8], chunk: usize, seed: u64) {
+    let capacity = required_capacity(script) as usize;
+    let mut device = Device::new(capacity);
+    device.flash(reference).unwrap();
+    let direct = device.apply_update(script).unwrap_err();
+    assert!(
+        matches!(direct, DeviceError::WriteBeforeRead { .. }),
+        "seed {seed}: {direct}"
+    );
+    let wire = encode(script, Format::InPlace).unwrap();
+    let mut device = Device::new(capacity);
+    device.flash(reference).unwrap();
+    let streamed =
+        install_update_streaming(&mut device, wire.chunks(chunk), Channel::dialup()).unwrap_err();
+    assert_eq!(
+        streamed,
+        InstallError::Device(direct),
+        "seed {seed}: chunk {chunk}"
+    );
+}
+
+#[test]
+fn unconverted_rotation_faults_alike_on_every_checked_path() {
+    // A block rotation diffed without conversion reads bytes that its
+    // earlier copies overwrote.
+    let reference: Vec<u8> = (0..8192u32).map(|i| (i * 31 % 251) as u8).collect();
+    let mut version = reference.clone();
+    version.rotate_left(1000);
+    let script = GreedyDiffer::default().diff(&reference, &version);
+    assert!(check_in_place_safe(&script).is_err());
+    for chunk in [1, 7, 64, 4096] {
+        assert_same_fault(&script, &reference, chunk, 0);
+    }
 }
 
 #[test]
